@@ -93,7 +93,6 @@ from .relations import (
     reflexive_transitive_closure,
     relation_predicates,
     relation_square_is_pullback,
-    union,
 )
 
 __version__ = "0.1.0"

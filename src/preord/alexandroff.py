@@ -19,8 +19,11 @@ from .relations import (
     SetMap,
     _bits,
     _fresh_labels,
+    _or_rows,
+    class_map,
+    direct_image,
     opposite,
-    relation_predicates,
+    row_classes,
 )
 
 __all__ = [
@@ -110,28 +113,22 @@ def closure_of_point(s: AlexandroffSpace, x: int) -> frozenset[int]:
 def is_T0(s: AlexandroffSpace) -> bool:
     """Distinct points are topologically distinguishable.
 
-    Computed on the opens (pairwise distinct minimal neighborhoods) and on
-    the specialization preorder (antisymmetry); the two must agree.
+    Computed on the opens: the minimal neighborhoods are pairwise distinct.
+    ``suites.check_topology_predicates`` cross-checks it against
+    antisymmetry of the specialization preorder.
     """
-    direct = len(set(s.min_nbhd)) == s.size
-    via_order = relation_predicates(space_to_preorder(s).rel).antisymmetric
-    if direct != via_order:
-        raise RuntimeError("T0 tests disagree between opens and specialization order")
-    return direct
+    return len(set(s.min_nbhd)) == s.size
 
 
 def is_partition(s: AlexandroffSpace) -> bool:
     """Every open is clopen.
 
-    Computed on the opens (each minimal neighborhood has an open complement)
-    and on the specialization preorder (symmetry); the two must agree.
+    Computed on the opens: each minimal neighborhood has an open complement.
+    ``suites.check_topology_predicates`` cross-checks it against symmetry of
+    the specialization preorder.
     """
     full = (1 << s.size) - 1
-    direct = all(s.is_open(full & ~nbhd) for nbhd in s.min_nbhd)
-    via_order = relation_predicates(space_to_preorder(s).rel).symmetric
-    if direct != via_order:
-        raise RuntimeError("partition tests disagree between opens and specialization order")
-    return direct
+    return all(s.is_open(full & ~nbhd) for nbhd in s.min_nbhd)
 
 
 @dataclass(frozen=True)
@@ -170,28 +167,10 @@ class T0Reflection(NamedTuple):
 def t0_reflection(s: AlexandroffSpace) -> T0Reflection:
     """Identify points with equal closures; the quotient is the finest T0
     image and the projection is continuous."""
-    closures = _closure_masks(s)
-    grouped: dict[int, list[int]] = {}
-    for x in range(s.size):
-        grouped.setdefault(closures[x], []).append(x)
-    classes = sorted(grouped.values(), key=lambda cls: cls[0])
-    values = [0] * s.size
-    for ci, cls in enumerate(classes):
-        for x in cls:
-            values[x] = ci
-    labels = _fresh_labels(
-        ["{" + ",".join(s.carrier.label(x) for x in cls) + "}" for cls in classes]
-    )
-    carrier = FinSet(len(classes), labels)
-    nbhds = []
-    for cls in classes:
-        acc = 0
-        for y in _bits(s.min_nbhd[cls[0]]):
-            acc |= 1 << values[y]
-        nbhds.append(acc)
-    quotient = AlexandroffSpace(carrier, tuple(nbhds))
-    projection = ContinuousMap(s, quotient, SetMap(s.carrier, carrier, tuple(values)))
-    return T0Reflection(quotient, projection)
+    q = class_map(s.carrier, row_classes(_closure_masks(s)))
+    nbhds = direct_image(q, Relation(s.carrier, s.carrier, s.min_nbhd)).rows
+    quotient = AlexandroffSpace(q.cod, nbhds)
+    return T0Reflection(quotient, ContinuousMap(s, quotient, q))
 
 
 def subspace(s: AlexandroffSpace, points: Iterable[int]) -> AlexandroffSpace:
@@ -200,17 +179,12 @@ def subspace(s: AlexandroffSpace, points: Iterable[int]) -> AlexandroffSpace:
     for x in members:
         if not 0 <= x < s.size:
             raise IndexError(f"point {x} out of range 0..{s.size - 1}")
-    position = {x: k for k, x in enumerate(members)}
+    table = [0] * s.size
+    for k, x in enumerate(members):
+        table[x] = 1 << k
     labels = _fresh_labels([s.carrier.label(x) for x in members])
     carrier = FinSet(len(members), labels)
-    nbhds = []
-    for x in members:
-        acc = 0
-        for y in _bits(s.min_nbhd[x]):
-            if y in position:
-                acc |= 1 << position[y]
-        nbhds.append(acc)
-    return AlexandroffSpace(carrier, tuple(nbhds))
+    return AlexandroffSpace(carrier, _or_rows((s.min_nbhd[x] for x in members), table))
 
 
 @dataclass(frozen=True)
@@ -220,12 +194,8 @@ class ContinuousClassification:
     regular_epi_top: bool
 
 
-def _fibre_masks(f: ContinuousMap) -> tuple[int, ...]:
-    return f.map.preimage_masks()
-
-
 def _fibres_T0(f: ContinuousMap) -> bool:
-    for fibre in _fibre_masks(f):
+    for fibre in f.map.preimage_masks():
         seen = set()
         for x in _bits(fibre):
             relative = f.src.min_nbhd[x] & fibre
@@ -236,7 +206,7 @@ def _fibres_T0(f: ContinuousMap) -> bool:
 
 
 def _fibres_trivial(f: ContinuousMap) -> bool:
-    for fibre in _fibre_masks(f):
+    for fibre in f.map.preimage_masks():
         for x in _bits(fibre):
             if (f.src.min_nbhd[x] & fibre) != fibre:
                 return False
@@ -244,15 +214,10 @@ def _fibres_trivial(f: ContinuousMap) -> bool:
 
 
 def _specializations_lift(f: ContinuousMap) -> bool:
-    src_cl = _closure_masks(f.src)
-    dst_cl = _closure_masks(f.dst)
-    covered = [0] * f.dst.size
-    for x in range(f.src.size):
-        acc = 0
-        for x2 in _bits(src_cl[x]):
-            acc |= 1 << f(x2)
-        covered[f(x)] |= acc
-    return all(dst_cl[y] & ~covered[y] == 0 for y in range(f.dst.size))
+    """Every specialization in the target is the image of one in the source."""
+    src = Relation(f.src.carrier, f.src.carrier, _closure_masks(f.src))
+    covered = direct_image(f.map, src).rows
+    return all(cl & ~cov == 0 for cl, cov in zip(_closure_masks(f.dst), covered))
 
 
 def classify_continuous(f: ContinuousMap) -> ContinuousClassification:

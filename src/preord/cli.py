@@ -2,7 +2,8 @@
 
 Exit codes: 0 for success (and passing checks), 1 for a failing check or
 property query, 2 for usage and input errors.  Defaults for the check cap
-and seed come from ``PREORD_MAX_N`` and ``PREORD_SEED``.
+and seed come from ``PREORD_MAX_N`` and ``PREORD_SEED``; a value that is
+not an integer, or a negative cap, is a usage error.
 """
 
 from __future__ import annotations
@@ -16,10 +17,14 @@ from . import factorization as fct
 from . import pretorsion as pre
 from .docio import Document, DocumentError, load, save
 from .oracle import EnumerationCapError
-from .relations import FinPreorder, _bits
+from .relations import FinPreorder, _bits, _class_label
 from .suites import SUITES
 
 __all__ = ["main"]
+
+
+class UsageError(Exception):
+    """A bad option or environment value; reported with exit code 2."""
 
 
 def _load(args) -> Document:
@@ -70,9 +75,7 @@ def cmd_sequence(args) -> int:
     out.add_preorder(f"{name}.quotient", seq.free_part.dst)
     out.add_morphism(f"{name}.include", seq.torsion_part, f"{name}.torsion", name)
     out.add_morphism(f"{name}.unit", seq.free_part, name, f"{name}.quotient")
-    classes = " ".join(
-        "{" + ",".join(p.carrier.label(a) for a in cls) + "}" for cls in seq.witness
-    )
+    classes = " ".join(_class_label(p.carrier, cls) for cls in seq.witness)
     _emit(f"# canonical short exact sequence of {name}\n"
           f"# classes: {classes}\n" + save(out), args.out)
     return 0
@@ -218,6 +221,11 @@ def _hasse_covers(poset: FinPreorder) -> list[tuple[int, int]]:
     return covers
 
 
+def _dot_id(text: str) -> str:
+    """A quoted DOT ID, with ``\\`` and ``"`` escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def cmd_export(args) -> int:
     if not args.dot:
         print("error: only DOT export is available; pass --dot", file=sys.stderr)
@@ -225,29 +233,29 @@ def cmd_export(args) -> int:
     doc = _load(args)
     name, p = _pick_object(doc, args.object)
     poset, unit = pre.reflect(p)
-    classes: list[list[int]] = [[] for _ in range(poset.size)]
-    for a in range(p.size):
-        classes[unit(a)].append(a)
-    lines = [f'digraph "{name}" {{', "  compound=true;", "  rankdir=BT;"]
+    classes = [list(_bits(fibre)) for fibre in unit.map.preimage_masks()]
+    lines = [f"digraph {_dot_id(name)} {{", "  compound=true;", "  rankdir=BT;"]
     for ci, members in enumerate(classes):
         lines.append(f"  subgraph cluster_{ci} {{")
-        lines.append(f'    label="{poset.carrier.label(ci)}";')
+        lines.append(f"    label={_dot_id(poset.carrier.label(ci))};")
         for a in members:
-            lines.append(f'    "{p.carrier.label(a)}";')
+            lines.append(f"    {_dot_id(p.carrier.label(a))};")
         lines.append("  }")
     for a, b in sorted(_hasse_covers(poset)):
-        rep_a = p.carrier.label(classes[a][0])
-        rep_b = p.carrier.label(classes[b][0])
-        lines.append(
-            f'  "{rep_a}" -> "{rep_b}" [ltail=cluster_{a}, lhead=cluster_{b}];'
-        )
+        rep_a = _dot_id(p.carrier.label(classes[a][0]))
+        rep_b = _dot_id(p.carrier.label(classes[b][0]))
+        lines.append(f"  {rep_a} -> {rep_b} [ltail=cluster_{a}, lhead=cluster_{b}];")
     lines.append("}")
     _emit("\n".join(lines), args.out)
     return 0
 
 
 def cmd_check(args) -> int:
-    report = SUITES[args.suite](max_n=args.max_n, seed=args.seed)
+    max_n = _env_int("PREORD_MAX_N", 3) if args.max_n is None else args.max_n
+    seed = _env_int("PREORD_SEED", 0) if args.seed is None else args.seed
+    if max_n < 0:
+        raise UsageError(f"the carrier bound must be nonnegative, got {max_n}")
+    report = SUITES[args.suite](max_n=max_n, seed=seed)
     for line in report.lines():
         print(line)
     return 0 if report.ok else 1
@@ -260,7 +268,7 @@ def _env_int(name: str, fallback: int) -> int:
     try:
         return int(value)
     except ValueError:
-        return fallback
+        raise UsageError(f"{name} must be an integer, got {value!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,10 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check", help="run a verification suite")
     sp.add_argument("--suite", required=True, choices=sorted(SUITES))
-    sp.add_argument("--max-n", type=int, default=_env_int("PREORD_MAX_N", 3),
-                    help="carrier bound for exhaustive sweeps")
-    sp.add_argument("--seed", type=int, default=_env_int("PREORD_SEED", 0),
-                    help="seed for randomized sweeps")
+    sp.add_argument("--max-n", type=int,
+                    help="carrier bound for exhaustive sweeps (default: PREORD_MAX_N or 3)")
+    sp.add_argument("--seed", type=int,
+                    help="seed for randomized sweeps (default: PREORD_SEED or 0)")
     sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("export", help="DOT digraph of the quotient Hasse diagram")
@@ -338,13 +346,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EnumerationCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (DocumentError, EnumerationCapError, FileNotFoundError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -37,6 +37,7 @@ from .relations import (
     Relation,
     SetMap,
     _bits,
+    _is_label,
     reflexive_transitive_closure,
 )
 
@@ -73,20 +74,30 @@ class Document:
         return next(iter(self.preorders.items()))
 
     def add_preorder(self, name: str, p: FinPreorder) -> None:
+        _require_names(name)
         if name in self.preorders or name in self.spaces:
             raise DocumentError(f"duplicate name {name!r}")
         self.preorders[name] = p
 
     def add_space(self, name: str, s: AlexandroffSpace) -> None:
+        _require_names(name)
         if name in self.preorders or name in self.spaces:
             raise DocumentError(f"duplicate name {name!r}")
         self.spaces[name] = s
 
     def add_morphism(self, name: str, f: PreordMorphism, src: str, dst: str) -> None:
+        _require_names(name, src, dst)
         if name in self.morphisms:
             raise DocumentError(f"duplicate morphism name {name!r}")
         self.morphisms[name] = f
         self.morphism_ends[name] = (src, dst)
+
+
+def _require_names(*names: str) -> None:
+    """Names follow the label rule, so that saved text parses back."""
+    for name in names:
+        if not _is_label(name):
+            raise DocumentError(f"name {name!r} is not a printable token")
 
 
 @dataclass

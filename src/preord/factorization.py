@@ -21,7 +21,9 @@ from .relations import (
     Relation,
     SetMap,
     _bits,
+    _class_label,
     _fresh_labels,
+    _or_rows,
     compose_morphisms,
     direct_image,
     inverse_image,
@@ -29,9 +31,11 @@ from .relations import (
     kernel_pair,
     meet,
     preord_pullback,
+    quotient,
     relation_predicates,
+    row_classes,
 )
-from .pretorsion import n_kernel, reflect, reflect_morphism, sym_core
+from .pretorsion import reflect, reflect_morphism, sym_core
 
 __all__ = [
     "MorphismClassification",
@@ -101,11 +105,8 @@ def _in_E_counterexample(f: PreordMorphism) -> tuple[int, ...] | None:
     if ce is None:
         return None
     # translate reflected-class indices back to least target representatives
-    _, unit = reflect(f.dst)
-    representative: dict[int, int] = {}
-    for b in range(f.dst.size):
-        representative.setdefault(unit(b), b)
-    return tuple(representative[c] for c in ce)
+    fibres = reflect(f.dst).unit.map.preimage_masks()
+    return tuple(next(_bits(fibres[c])) for c in ce)
 
 
 def is_in_E(f: PreordMorphism) -> bool:
@@ -157,45 +158,24 @@ def _fibre_poset_counterexample(f: PreordMorphism) -> tuple[int, int] | None:
     return None
 
 
-def _in_M_star_counterexample(f: PreordMorphism) -> tuple[int, int] | None:
-    ce = _fibre_poset_counterexample(f)
-    kernel_is_poset = relation_predicates(n_kernel(f).K.rel).antisymmetric
-    if (ce is None) != kernel_is_poset:
-        raise RuntimeError(
-            "fibre antisymmetry and kernel antisymmetry disagree; "
-            "this contradicts the covering characterization"
-        )
-    return ce
-
-
 def is_in_M_star(f: PreordMorphism) -> bool:
     """Covering: every fibre is a partial order.
 
-    Computed twice, as fibre antisymmetry and as antisymmetry of the
-    relative kernel; the two must agree.
+    Computed once, as fibre antisymmetry.  ``suites.check_m_star_agreement``
+    cross-checks it against antisymmetry of the relative kernel and against
+    T0 fibres of the associated continuous map.
     """
-    return _in_M_star_counterexample(f) is None
+    return _fibre_poset_counterexample(f) is None
 
 
 def _effective_descent_counterexample(
     f: PreordMorphism,
 ) -> tuple[int, int, int] | None:
-    src_rows = f.src.rel.rows
     dst_rows = f.dst.rel.rows
     pre = f.map.preimage_masks()
-    n = f.src.size
-    below = [0] * n
-    above = [0] * n
-    cols = f.src.rel.columns()
-    for e in range(n):
-        acc = 0
-        for a in _bits(cols[e]):
-            acc |= 1 << f(a)
-        below[e] = acc
-        acc = 0
-        for a in _bits(src_rows[e]):
-            acc |= 1 << f(a)
-        above[e] = acc
+    images = [1 << v for v in f.map.values]
+    below = _or_rows(f.src.rel.columns(), images)
+    above = _or_rows(f.src.rel.rows, images)
     dst_cols = f.dst.rel.columns()
     for b2 in range(f.dst.size):
         rights = dst_rows[b2]
@@ -221,7 +201,7 @@ _FLAG_CHECKS = (
     ("in_E", _in_E_counterexample),
     ("in_M", _in_M_counterexample),
     ("in_E_bar", _in_E_bar_counterexample),
-    ("in_M_star", _in_M_star_counterexample),
+    ("in_M_star", _fibre_poset_counterexample),
     ("effective_descent", _effective_descent_counterexample),
 )
 
@@ -325,41 +305,18 @@ def reflective_factorization(f: PreordMorphism) -> FactorizationResult:
     )
 
 
-def _equivalence_classes(rel: Relation) -> list[list[int]]:
-    seen: dict[int, int] = {}
-    classes: list[list[int]] = []
-    for a in range(rel.src.size):
-        mask = rel.rows[a]
-        if mask not in seen:
-            seen[mask] = len(classes)
-            classes.append(sorted(_bits(mask)))
-    classes.sort(key=lambda c: c[0])
-    return classes
-
-
 def monotone_light_factorization(f: PreordMorphism) -> FactorizationResult:
     """Factor ``f`` through the quotient by kernel-pair-meet-symmetric-core.
 
     The quotient leg is surjective and fully faithful; the remaining leg is
     a covering.
     """
-    equiv = meet(kernel_pair(f.map), sym_core(f.src))
-    classes = _equivalence_classes(equiv)
-    values = [0] * f.src.size
-    for ci, cls in enumerate(classes):
-        for a in cls:
-            values[a] = ci
-    labels = _fresh_labels(
-        ["{" + ",".join(f.src.carrier.label(a) for a in cls) + "}" for cls in classes]
-    )
-    carrier = FinSet(len(classes), labels)
-    quotient_map = SetMap(f.src.carrier, carrier, tuple(values))
-    mid = FinPreorder(carrier, direct_image(quotient_map, f.src.rel))
-    e = PreordMorphism(f.src, mid, quotient_map)
+    classes = row_classes(meet(kernel_pair(f.map), sym_core(f.src)).rows)
+    e = quotient(f.src, classes)
     m_values = tuple(f(cls[0]) for cls in classes)
-    m = PreordMorphism(mid, f.dst, SetMap(carrier, f.dst.carrier, m_values))
+    m = PreordMorphism(e.dst, f.dst, SetMap(e.dst.carrier, f.dst.carrier, m_values))
     return FactorizationResult(
-        mid=mid,
+        mid=e.dst,
         e=e,
         m=m,
         system="monotone-light",
@@ -382,26 +339,20 @@ def effective_descent_cover(b: FinPreorder) -> Cover:
     by level.  Levels are serialized 1..3.
     """
     poset, unit = reflect(b)
-    classes = _equivalence_classes(sym_core(b))
+    classes = [list(_bits(fibre)) for fibre in unit.map.preimage_masks()]
     triples: list[tuple[int, int, int]] = []
     for ci, cls in enumerate(classes):
         for level in range(3):
             for beta in cls:
                 triples.append((ci, level, beta))
-    index = {t: k for k, t in enumerate(triples)}
     class_mask = [0] * len(classes)
     for k, (ci, _, _) in enumerate(triples):
         class_mask[ci] |= 1 << k
     level_mask: dict[tuple[int, int], int] = {}
     for k, (ci, level, _) in enumerate(triples):
         level_mask[ci, level] = level_mask.get((ci, level), 0) | 1 << k
-    strict_above = []
-    for ci in range(len(classes)):
-        acc = 0
-        for cj in _bits(poset.rel.rows[ci]):
-            if cj != ci:
-                acc |= class_mask[cj]
-        strict_above.append(acc)
+    above = _or_rows(poset.rel.rows, class_mask)
+    strict_above = [acc & ~own for acc, own in zip(above, class_mask)]
     rows = []
     for k, (ci, level, _) in enumerate(triples):
         row = strict_above[ci] | (1 << k)
@@ -410,9 +361,7 @@ def effective_descent_cover(b: FinPreorder) -> Cover:
         rows.append(row)
     labels = _fresh_labels(
         [
-            "("
-            + "{" + ",".join(b.carrier.label(a) for a in classes[ci]) + "}"
-            + f",{level + 1},{b.carrier.label(beta)})"
+            f"({_class_label(b.carrier, classes[ci])},{level + 1},{b.carrier.label(beta)})"
             for ci, level, beta in triples
         ]
     )

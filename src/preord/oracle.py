@@ -19,12 +19,12 @@ from .relations import (
     Relation,
     SetMap,
     _bits,
-    _fresh_labels,
     compose_morphisms,
-    direct_image,
     meet,
     opposite,
+    quotient,
     reflexive_transitive_closure,
+    row_classes,
 )
 
 __all__ = [
@@ -402,35 +402,14 @@ def closure_slow(r: Relation) -> FinPreorder:
     return FinPreorder(r.src, Relation(r.src, r.src, tuple(rows)))
 
 
-def _core_classes(p: FinPreorder) -> list[list[int]]:
-    """Classes of the meet-with-opposite equivalence, ordered by least member."""
-    core = meet(p.rel, opposite(p.rel))
-    seen: dict[int, int] = {}
-    classes: list[list[int]] = []
-    for a in range(p.size):
-        mask = core.rows[a]
-        if mask not in seen:
-            seen[mask] = len(classes)
-            classes.append(sorted(_bits(mask)))
-    classes.sort(key=lambda c: c[0])
-    return classes
-
-
 def reflect_by_quotient(p: FinPreorder):
-    """Definitional partial-order reflection: meet with the opposite, then
-    quotient and push the relation forward.  Cross-checks the condensation
-    implementation."""
-    from .pretorsion import Reflection, _class_labels
+    """Definitional partial-order reflection: the classes are the distinct
+    rows of the meet with the opposite, then quotient and push the relation
+    forward.  Cross-checks the condensation implementation."""
+    from .pretorsion import Reflection
 
-    classes = _core_classes(p)
-    values = [0] * p.size
-    for ci, cls in enumerate(classes):
-        for a in cls:
-            values[a] = ci
-    carrier = FinSet(len(classes), _class_labels(p, classes))
-    q = SetMap(p.carrier, carrier, tuple(values))
-    poset = FinPreorder(carrier, direct_image(q, p.rel))
-    return Reflection(poset, PreordMorphism(p, poset, q))
+    unit = quotient(p, row_classes(meet(p.rel, opposite(p.rel)).rows))
+    return Reflection(unit.dst, unit)
 
 
 def enumerate_open_sets(space, cap: int = 12) -> list[int]:
@@ -481,8 +460,8 @@ def random_monotone_map(
         return SetMap(p.carrier, q.carrier, ())
     if m == 0:
         return None
-    p_classes = _core_classes(p)
-    q_classes = _core_classes(q)
+    p_classes = row_classes(meet(p.rel, opposite(p.rel)).rows)
+    q_classes = row_classes(meet(q.rel, opposite(q.rel)).rows)
     prows = p.rel.rows
     qrows = q.rel.rows
 
@@ -540,16 +519,15 @@ def random_morphism(
     return PreordMorphism(src, dst, mapping)
 
 
-def random_core_refinement(rng: random.Random, p: FinPreorder) -> SetMap:
-    """A random surjection whose kernel pair refines the symmetric core.
+def random_core_refinement(rng: random.Random, p: FinPreorder) -> PreordMorphism:
+    """A random quotient of ``p`` whose kernel pair refines the symmetric core.
 
     Splits every mutual-reachability class into random sub-blocks; the
     resulting quotient map is surjective, collapses only mutually related
     elements, and so is fully faithful onto its image order.
     """
     blocks: list[list[int]] = []
-    for cls in _core_classes(p):
-        members = list(cls)
+    for members in row_classes(meet(p.rel, opposite(p.rel)).rows):
         rng.shuffle(members)
         cut = 0
         while cut < len(members):
@@ -557,11 +535,4 @@ def random_core_refinement(rng: random.Random, p: FinPreorder) -> SetMap:
             blocks.append(sorted(members[cut : cut + width]))
             cut += width
     blocks.sort(key=lambda b: b[0])
-    values = [0] * p.size
-    for bi, block in enumerate(blocks):
-        for a in block:
-            values[a] = bi
-    labels = _fresh_labels(
-        ["{" + ",".join(p.carrier.label(a) for a in b) + "}" for b in blocks]
-    )
-    return SetMap(p.carrier, FinSet(len(blocks), labels), tuple(values))
+    return quotient(p, blocks)

@@ -9,23 +9,21 @@ through a discrete object form the ideal the splitting is exact against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 from .relations import (
     FinPreorder,
-    FinSet,
     PreordMorphism,
     Relation,
     SetMap,
     _bits,
     _fresh_labels,
-    direct_image,
     identity_map,
     inverse_image,
     kernel_pair,
     meet,
     opposite,
+    quotient,
     relation_predicates,
 )
 
@@ -104,34 +102,27 @@ def _scc_classes(rows: Sequence[int], n: int) -> list[list[int]]:
     return out
 
 
-def _class_labels(p: FinPreorder, classes: Sequence[Sequence[int]]) -> tuple[str, ...] | None:
-    return _fresh_labels(
-        ["{" + ",".join(p.carrier.label(a) for a in cls) + "}" for cls in classes]
-    )
-
-
 class Reflection(NamedTuple):
     poset: FinPreorder
     unit: PreordMorphism
 
 
-@lru_cache(maxsize=None)
 def reflect(p: FinPreorder) -> Reflection:
     """Quotient by mutual reachability, yielding the partial-order reflection.
 
     For a reflexive transitive relation the strongly connected components of
     its digraph are exactly the symmetric-core classes, so the quotient is
     computed by condensation.  Class indices are ordered by least member.
+
+    The result is memoised on ``p`` itself, outside its dataclass fields, so
+    it lives exactly as long as ``p`` and never affects equality or hashing.
     """
-    classes = _scc_classes(p.rel.rows, p.size)
-    values = [0] * p.size
-    for ci, cls in enumerate(classes):
-        for a in cls:
-            values[a] = ci
-    carrier = FinSet(len(classes), _class_labels(p, classes))
-    q = SetMap(p.carrier, carrier, tuple(values))
-    poset = FinPreorder(carrier, direct_image(q, p.rel))
-    return Reflection(poset, PreordMorphism(p, poset, q))
+    memo = p.__dict__.get("_reflection")
+    if memo is None:
+        unit = quotient(p, _scc_classes(p.rel.rows, p.size))
+        memo = Reflection(unit.dst, unit)
+        object.__setattr__(p, "_reflection", memo)
+    return memo
 
 
 def reflect_morphism(f: PreordMorphism) -> PreordMorphism:
@@ -233,9 +224,9 @@ def canonical_sequence(p: FinPreorder) -> NExactSequence:
     """Symmetric-core inclusion followed by the reflection unit."""
     core = FinPreorder(p.carrier, sym_core(p))
     inclusion = PreordMorphism(core, p, identity_map(p.carrier))
-    poset, unit = reflect(p)
-    classes = _scc_classes(p.rel.rows, p.size)
-    return NExactSequence(inclusion, unit, tuple(tuple(c) for c in classes))
+    unit = reflect(p).unit
+    classes = tuple(tuple(_bits(fibre)) for fibre in unit.map.preimage_masks())
+    return NExactSequence(inclusion, unit, classes)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ metadata carried along for display and serialization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "FinSet",
@@ -27,7 +27,6 @@ __all__ = [
     "compose_relations",
     "opposite",
     "meet",
-    "union",
     "direct_image",
     "inverse_image",
     "kernel_pair",
@@ -42,6 +41,9 @@ __all__ = [
     "preord_pullback",
     "is_pullback_square",
     "relation_square_is_pullback",
+    "row_classes",
+    "class_map",
+    "quotient",
 ]
 
 
@@ -53,14 +55,37 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _or_rows(rows: Iterable[int], table: Sequence[int]) -> tuple[int, ...]:
+    """Row ``i`` of the result is the OR of ``table[j]`` over the set bits
+    ``j`` of ``rows[i]``: the bit-row kernel behind composition, direct and
+    inverse image."""
+    out = []
+    for row in rows:
+        acc = 0
+        for j in _bits(row):
+            acc |= table[j]
+        out.append(acc)
+    return tuple(out)
+
+
+def _is_label(lab: object) -> bool:
+    """A printable token that documents can carry: nonempty, no whitespace,
+    and no ``#``, which starts a comment in the document format."""
+    return isinstance(lab, str) and lab.split() == [lab] and "#" not in lab
+
+
 def _fresh_labels(candidates: list[str]) -> tuple[str, ...] | None:
     """Use the candidate labels only when they are valid and distinct."""
     if len(set(candidates)) != len(candidates):
         return None
-    for c in candidates:
-        if not c or any(ch.isspace() for ch in c):
-            return None
+    if not all(_is_label(c) for c in candidates):
+        return None
     return tuple(candidates)
+
+
+def _class_label(carrier: FinSet, members: Iterable[int]) -> str:
+    """The label ``{a,b}`` of a class of elements."""
+    return "{" + ",".join(carrier.label(a) for a in members) + "}"
 
 
 @dataclass(frozen=True)
@@ -82,7 +107,7 @@ class FinSet:
             if len(set(self.labels)) != len(self.labels):
                 raise ValueError("labels must be pairwise distinct")
             for lab in self.labels:
-                if not isinstance(lab, str) or not lab or any(c.isspace() for c in lab):
+                if not _is_label(lab):
                     raise ValueError(f"label {lab!r} is not a printable token")
 
     def label(self, i: int) -> str:
@@ -181,13 +206,7 @@ def compose_relations(r: Relation, s: Relation) -> Relation:
     """Relational composite: ``(x, z)`` iff some ``y`` has ``x r y`` and ``y s z``."""
     if r.dst != s.src:
         raise ValueError("carrier mismatch: middle carriers differ")
-    rows = []
-    for row in r.rows:
-        acc = 0
-        for y in _bits(row):
-            acc |= s.rows[y]
-        rows.append(acc)
-    return Relation(r.src, s.dst, tuple(rows))
+    return Relation(r.src, s.dst, _or_rows(r.rows, s.rows))
 
 
 def opposite(r: Relation) -> Relation:
@@ -199,12 +218,6 @@ def meet(r: Relation, s: Relation) -> Relation:
     """Pairwise conjunction of two relations on the same carriers."""
     _require_same_carriers(r, s)
     return Relation(r.src, r.dst, tuple(a & b for a, b in zip(r.rows, s.rows)))
-
-
-def union(r: Relation, s: Relation) -> Relation:
-    """Pairwise disjunction of two relations on the same carriers."""
-    _require_same_carriers(r, s)
-    return Relation(r.src, r.dst, tuple(a | b for a, b in zip(r.rows, s.rows)))
 
 
 @dataclass(frozen=True)
@@ -269,12 +282,10 @@ def direct_image(f: SetMap, r: Relation) -> Relation:
     _require_endorelation(r)
     if r.src != f.dom:
         raise ValueError("carrier mismatch: relation does not live on the map's domain")
+    images = _or_rows(r.rows, [1 << v for v in f.values])
     rows = [0] * f.cod.size
-    for a, row in enumerate(r.rows):
-        acc = 0
-        for a2 in _bits(row):
-            acc |= 1 << f.values[a2]
-        rows[f.values[a]] |= acc
+    for v, image in zip(f.values, images):
+        rows[v] |= image
     return Relation(f.cod, f.cod, tuple(rows))
 
 
@@ -283,14 +294,8 @@ def inverse_image(f: SetMap, s: Relation) -> Relation:
     _require_endorelation(s)
     if s.src != f.cod:
         raise ValueError("carrier mismatch: relation does not live on the map's codomain")
-    pre = f.preimage_masks()
-    rows = []
-    for a in range(f.dom.size):
-        acc = 0
-        for b in _bits(s.rows[f.values[a]]):
-            acc |= pre[b]
-        rows.append(acc)
-    return Relation(f.dom, f.dom, tuple(rows))
+    rows = _or_rows((s.rows[v] for v in f.values), f.preimage_masks())
+    return Relation(f.dom, f.dom, rows)
 
 
 def kernel_pair(f: SetMap) -> Relation:
@@ -487,18 +492,8 @@ def preord_pullback(f: PreordMorphism, g: PreordMorphism) -> Pullback:
     for k, (x, z) in enumerate(pairs):
         xmask[x] |= 1 << k
         zmask[z] |= 1 << k
-    rx = []
-    for x in range(x_obj.size):
-        acc = 0
-        for x2 in _bits(x_obj.rel.rows[x]):
-            acc |= xmask[x2]
-        rx.append(acc)
-    sz = []
-    for z in range(z_obj.size):
-        acc = 0
-        for z2 in _bits(z_obj.rel.rows[z]):
-            acc |= zmask[z2]
-        sz.append(acc)
+    rx = _or_rows(x_obj.rel.rows, xmask)
+    sz = _or_rows(z_obj.rel.rows, zmask)
     labels = _fresh_labels(
         [f"({x_obj.carrier.label(x)},{z_obj.carrier.label(z)})" for x, z in pairs]
     )
@@ -555,3 +550,36 @@ def relation_square_is_pullback(f: SetMap, r: Relation, s: Relation) -> bool:
     if not r.is_subrelation_of(pulled):
         raise ValueError("square does not commute: relation does not map into the target")
     return pulled == r
+
+
+def row_classes(rows: Sequence[int]) -> list[list[int]]:
+    """Indices grouped by equal row, each class ascending and the classes
+    ordered by least member.  On an equivalence relation these are its
+    classes."""
+    grouped: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        grouped.setdefault(row, []).append(i)
+    return list(grouped.values())
+
+
+def class_map(carrier: FinSet, classes: Sequence[Sequence[int]]) -> SetMap:
+    """The map sending each element to the index of its class, onto a
+    carrier labelled ``{a,b}`` by the members of each class."""
+    values = [0] * carrier.size
+    for ci, cls in enumerate(classes):
+        for a in cls:
+            values[a] = ci
+    labels = _fresh_labels([_class_label(carrier, cls) for cls in classes])
+    return SetMap(carrier, FinSet(len(classes), labels), tuple(values))
+
+
+def quotient(p: FinPreorder, classes: Sequence[Sequence[int]]) -> PreordMorphism:
+    """The quotient of ``p`` by a partition: the class map, as a monotone
+    surjection onto the class carrier ordered by the pushed-forward relation.
+
+    When the partition refines the symmetric core the pushed relation is
+    transitive; for other partitions it may not be, and then the quotient
+    object is rejected.
+    """
+    q = class_map(p.carrier, classes)
+    return PreordMorphism(p, FinPreorder(q.cod, direct_image(q, p.rel)), q)

@@ -205,6 +205,15 @@ class TestExport:
         assert 'label="{a,b}"' in out
         assert '"a" -> "c" [ltail=cluster_0, lhead=cluster_1];' in out
 
+    def test_quotes_and_backslashes_are_escaped(self, tmp_path, capsys):
+        path = tmp_path / "quoted.preord"
+        path.write_text('preord 1\nobject P\n  points q"x b\\y\n  edge q"x b\\y\n')
+        assert main(["export", "--dot", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert 'label="{q\\"x}";' in out
+        assert '    "b\\\\y";' in out
+        assert '"q\\"x" -> "b\\\\y" [ltail=cluster_0, lhead=cluster_1];' in out
+
     def test_requires_dot_flag(self, running_file, capsys):
         assert main(["export", running_file]) == 2
 
@@ -237,6 +246,27 @@ class TestCheck:
         monkeypatch.setenv("PREORD_MAX_N", "2")
         monkeypatch.setenv("PREORD_SEED", "3")
         assert main(["check", "--suite", "stable-units"]) == 0
+
+    @pytest.mark.parametrize("flags, env", [(["--max-n", "-1"], "3"), ([], "-1")])
+    def test_negative_bound_is_a_usage_error(self, monkeypatch, capsys, flags, env):
+        monkeypatch.setenv("PREORD_MAX_N", env)
+        assert main(["check", "--suite", "pretorsion", *flags]) == 2
+        captured = capsys.readouterr()
+        assert "nonnegative" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("variable", ["PREORD_MAX_N", "PREORD_SEED"])
+    def test_malformed_env_default_is_a_usage_error(self, monkeypatch, capsys, variable):
+        monkeypatch.setenv(variable, "abc")
+        extra = ["--max-n", "0"] if variable == "PREORD_SEED" else []
+        assert main(["check", "--suite", "stable-units", *extra]) == 2
+        captured = capsys.readouterr()
+        assert variable in captured.err and "'abc'" in captured.err
+        assert captured.out == ""
+
+    def test_flags_override_malformed_env(self, monkeypatch, capsys):
+        monkeypatch.setenv("PREORD_MAX_N", "abc")
+        monkeypatch.setenv("PREORD_SEED", "abc")
+        assert main(["check", "--suite", "stable-units", "--max-n", "1", "--seed", "0"]) == 0
 
 
 class TestErrors:

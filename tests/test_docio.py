@@ -1,10 +1,12 @@
 import io
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import assume, example, given
 
 from preord.alexandroff import preorder_to_space
 from preord.docio import Document, DocumentError, dumps, load, loads, save
-from preord.relations import FinPreorder
+from preord.relations import FinPreorder, FinSet, identity_morphism
 
 RUNNING = """\
 preord 1
@@ -175,3 +177,37 @@ class TestRoundTrip:
         doc.add_preorder("E", FinPreorder.discrete(0))
         again = loads(dumps(doc))
         assert again.preorders["E"].size == 0
+
+
+@st.composite
+def labelled_preorders(draw):
+    """A preorder on explicit labels drawn from all text ``FinSet`` accepts."""
+    labels = draw(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=5, unique=True))
+    try:
+        FinSet(len(labels), tuple(labels))
+    except ValueError:
+        assume(False)
+    n = len(labels)
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    return FinPreorder.from_edges(n, edges, tuple(labels))
+
+
+class TestLabels:
+    @given(labelled_preorders())
+    @example(FinPreorder.chain(2, ('q"x', "b\\y")))
+    def test_every_accepted_label_round_trips(self, p):
+        doc = Document()
+        doc.add_preorder("P", p)
+        doc.add_space("S", preorder_to_space(p))
+        doc.add_morphism("f", identity_morphism(p), "P", "P")
+        assert loads(dumps(doc)) == doc
+
+    @pytest.mark.parametrize("label", ["a#b", "#", "a b", ""])
+    def test_labels_documents_cannot_carry_are_rejected(self, label):
+        with pytest.raises(ValueError, match="printable token"):
+            FinSet(1, (label,))
+
+    @pytest.mark.parametrize("name", ["a#b", "a b", ""])
+    def test_names_documents_cannot_carry_are_rejected(self, name):
+        with pytest.raises(DocumentError, match="printable token"):
+            Document().add_preorder(name, FinPreorder.discrete(1))

@@ -157,10 +157,10 @@ def test_mutation_closure_returns_full():
 def test_mutation_cover_with_two_levels():
     def corrupt_cover(b, levels=2):
         # same lexicographic construction, but with too few levels
-        from preord.factorization import _equivalence_classes
+        from preord.relations import row_classes
 
         poset, _ = reflect(b)
-        classes = _equivalence_classes(sym_core(b))
+        classes = row_classes(sym_core(b).rows)
         triples = [
             (ci, lv, beta)
             for ci, cls in enumerate(classes)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 
@@ -101,6 +104,24 @@ class TestReflect:
         lhs = compose_morphisms(reflect(f.dst).unit, f)
         rhs = compose_morphisms(reflect_morphism(f), reflect(f.src).unit)
         assert lhs.map == rhs.map
+
+    def test_memoised_on_the_object(self):
+        p = running_example()
+        assert reflect(p) is reflect(p)
+
+    def test_memo_leaves_equality_hash_and_repr_alone(self):
+        p, q = running_example(), running_example()
+        reflect(p)
+        assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+
+    def test_memo_dies_with_the_object(self):
+        # labels no other test uses, so no earlier equal object is involved
+        p = FinPreorder.from_edges(3, [(0, 1), (1, 0)], labels=("w0", "w1", "w2"))
+        reflect(p)
+        ref = weakref.ref(p)
+        del p
+        gc.collect()
+        assert ref() is None
 
 
 class TestIdeal:
