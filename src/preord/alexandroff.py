@@ -19,7 +19,9 @@ from .relations import (
     SetMap,
     _bits,
     _fresh_labels,
+    _monotonicity_counterexample,
     _or_rows,
+    _transitivity_counterexample,
     class_map,
     direct_image,
     opposite,
@@ -61,12 +63,12 @@ class AlexandroffSpace:
                 raise ValueError(f"neighborhood of {x} is not a subset of the carrier")
             if not nbhd >> x & 1:
                 raise ValueError(f"point {x} is missing from its own neighborhood")
-        for x in range(n):
-            for y in _bits(self.min_nbhd[x]):
-                if self.min_nbhd[y] & ~self.min_nbhd[x]:
-                    raise ValueError(
-                        f"neighborhoods are not nested: U({y}) is not inside U({x})"
-                    )
+        bad = _transitivity_counterexample(self.min_nbhd)
+        if bad is not None:
+            x, y, _ = bad
+            raise ValueError(
+                f"neighborhoods are not nested: U({y}) is not inside U({x})"
+            )
 
     @property
     def size(self) -> int:
@@ -146,14 +148,14 @@ class ContinuousMap:
     def __post_init__(self) -> None:
         if self.map.dom != self.src.carrier or self.map.cod != self.dst.carrier:
             raise ValueError("underlying map does not match the endpoints")
-        values = self.map.values
-        for y in range(self.src.size):
-            target = self.dst.min_nbhd[values[y]]
-            for x in _bits(self.src.min_nbhd[y]):
-                if not target >> values[x] & 1:
-                    raise ValueError(
-                        f"not continuous: {x} specializes to {y} but the images do not"
-                    )
+        bad = _monotonicity_counterexample(
+            self.src.min_nbhd, self.dst.min_nbhd, self.map.values
+        )
+        if bad is not None:
+            y, x = bad
+            raise ValueError(
+                f"not continuous: {x} specializes to {y} but the images do not"
+            )
 
     def __call__(self, x: int) -> int:
         return self.map.values[x]

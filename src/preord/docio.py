@@ -130,7 +130,7 @@ def _index_points(block: _Block) -> tuple[FinSet, dict[str, int]]:
             )
         position[lab] = len(position)
     try:
-        carrier = FinSet(len(block.points), tuple(block.points) or None)
+        carrier = FinSet(len(block.points), tuple(block.points))
     except ValueError as exc:
         raise DocumentError(str(exc), block.line) from exc
     return carrier, position

@@ -40,6 +40,8 @@ __all__ = [
     "brute_force_universal",
     "compose_relations_slow",
     "closure_slow",
+    "transitive_by_pairs",
+    "monotone_by_pairs",
     "reflect_by_quotient",
     "enumerate_open_sets",
     "random_preorder",
@@ -88,13 +90,21 @@ def _check_cap(n: int, config: EnumerationConfig | None) -> EnumerationConfig:
     return cfg
 
 
-def _is_closed(rows: list[int], n: int) -> bool:
-    for i in range(n):
-        row = rows[i]
-        for j in _bits(row):
-            if rows[j] & ~row:
-                return False
-    return True
+def transitive_by_pairs(rows) -> bool:
+    """Transitivity by visiting every related pair ``(i, j)`` and checking
+    ``rows[j] ⊆ rows[i]``: the slow counterpart of the covered walk in
+    ``FinPreorder`` validation."""
+    return all(rows[j] & ~row == 0 for row in rows for j in _bits(row))
+
+
+def monotone_by_pairs(src_rows, dst_rows, values) -> bool:
+    """Monotonicity by visiting every related pair of the source: the slow
+    counterpart of the covered walk in ``PreordMorphism`` validation."""
+    return all(
+        dst_rows[values[a]] >> values[b] & 1
+        for a, row in enumerate(src_rows)
+        for b in _bits(row)
+    )
 
 
 def _kind_accepts(rows: list[int], n: int, kind: str) -> bool:
@@ -126,7 +136,7 @@ def enumerate_preorders(
         for p, (i, j) in enumerate(positions):
             if combo >> p & 1:
                 rows[i] |= 1 << j
-        if not _is_closed(rows, n):
+        if not transitive_by_pairs(rows):
             continue
         if not _kind_accepts(rows, n, kind):
             continue
@@ -465,21 +475,13 @@ def random_monotone_map(
     prows = p.rel.rows
     qrows = q.rel.rows
 
-    def monotone(values: list[int]) -> bool:
-        for a in range(n):
-            target = qrows[values[a]]
-            for b in _bits(prows[a]):
-                if not target >> values[b] & 1:
-                    return False
-        return True
-
     for _ in range(attempts):
         values = [0] * n
         for cls in p_classes:
             target_cls = q_classes[rng.randrange(len(q_classes))]
             for a in cls:
                 values[a] = target_cls[rng.randrange(len(target_cls))]
-        if monotone(values):
+        if monotone_by_pairs(prows, qrows, values):
             return SetMap(p.carrier, q.carrier, tuple(values))
 
     order = sorted(range(n), key=lambda a: (-prows[a].bit_count(), a))

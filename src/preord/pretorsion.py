@@ -116,10 +116,14 @@ def reflect(p: FinPreorder) -> Reflection:
 
     The result is memoised on ``p`` itself, outside its dataclass fields, so
     it lives exactly as long as ``p`` and never affects equality or hashing.
+    The unit starts at an equal twin of ``p`` sharing its relation, not at
+    ``p``: a memo reaching back to ``p`` would be a reference cycle, and ``p``
+    would outlive its last reference until the next garbage collection.
     """
     memo = p.__dict__.get("_reflection")
     if memo is None:
-        unit = quotient(p, _scc_classes(p.rel.rows, p.size))
+        twin = FinPreorder(p.carrier, p.rel)
+        unit = quotient(twin, _scc_classes(p.rel.rows, p.size))
         memo = Reflection(unit.dst, unit)
         object.__setattr__(p, "_reflection", memo)
     return memo

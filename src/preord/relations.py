@@ -58,12 +58,16 @@ def _bits(mask: int) -> Iterator[int]:
 def _or_rows(rows: Iterable[int], table: Sequence[int]) -> tuple[int, ...]:
     """Row ``i`` of the result is the OR of ``table[j]`` over the set bits
     ``j`` of ``rows[i]``: the bit-row kernel behind composition, direct and
-    inverse image."""
+    inverse image.  Equal rows are computed once."""
+    done: dict[int, int] = {}
     out = []
     for row in rows:
-        acc = 0
-        for j in _bits(row):
-            acc |= table[j]
+        acc = done.get(row)
+        if acc is None:
+            acc = 0
+            for j in _bits(row):
+                acc |= table[j]
+            done[row] = acc
         out.append(acc)
     return tuple(out)
 
@@ -90,7 +94,11 @@ def _class_label(carrier: FinSet, members: Iterable[int]) -> str:
 
 @dataclass(frozen=True)
 class FinSet:
-    """A finite carrier: a size plus optional distinct printable labels."""
+    """A finite carrier: a size plus optional distinct printable labels.
+
+    Labels that spell the default ``0 1 ...`` (and the empty tuple) are
+    stored as ``None``, so a carrier equals itself read back from a document.
+    """
 
     size: int
     labels: tuple[str, ...] | None = None
@@ -109,6 +117,8 @@ class FinSet:
             for lab in self.labels:
                 if not _is_label(lab):
                     raise ValueError(f"label {lab!r} is not a printable token")
+            if all(lab == str(i) for i, lab in enumerate(self.labels)):
+                object.__setattr__(self, "labels", None)
 
     def label(self, i: int) -> str:
         if not 0 <= i < self.size:
@@ -177,12 +187,16 @@ class Relation:
         return sum(row.bit_count() for row in self.rows)
 
     def columns(self) -> tuple[int, ...]:
-        """Bit columns: bit ``i`` of ``columns()[j]`` iff ``(i, j)`` related."""
-        cols = [0] * self.dst.size
-        for i, row in enumerate(self.rows):
-            for j in _bits(row):
-                cols[j] |= 1 << i
-        return tuple(cols)
+        """Bit columns: bit ``i`` of ``columns()[j]`` iff ``(i, j)`` related.
+
+        Memoised on the instance, outside its dataclass fields, so equality,
+        hashing and ``repr`` are unchanged.
+        """
+        cols = self.__dict__.get("_columns")
+        if cols is None:
+            cols = _transpose(self.rows, self.dst.size)
+            object.__setattr__(self, "_columns", cols)
+        return cols
 
     def is_endorelation(self) -> bool:
         return self.src == self.dst
@@ -190,6 +204,16 @@ class Relation:
     def is_subrelation_of(self, other: "Relation") -> bool:
         _require_same_carriers(self, other)
         return all(r & ~s == 0 for r, s in zip(self.rows, other.rows))
+
+
+def _transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
+    """The bit columns of ``rows``, one update per set bit: the transpose
+    behind ``Relation.columns``."""
+    cols = [0] * width
+    for i, row in enumerate(rows):
+        for j in _bits(row):
+            cols[j] |= 1 << i
+    return tuple(cols)
 
 
 def _require_same_carriers(r: Relation, s: Relation) -> None:
@@ -304,6 +328,90 @@ def kernel_pair(f: SetMap) -> Relation:
     return Relation(f.dom, f.dom, tuple(pre[v] for v in f.values))
 
 
+def _row_owners(rows: Sequence[int]) -> dict[int, int]:
+    """Each distinct row, mapped to the mask of the indices that carry it,
+    in order of least index."""
+    owners: dict[int, int] = {}
+    for i, row in enumerate(rows):
+        owners[row] = owners.get(row, 0) | 1 << i
+    return owners
+
+
+def _transitivity_counterexample(rows: Sequence[int]) -> tuple[int, int, int] | None:
+    """A triple ``(i, j, k)`` with ``j`` in row ``i`` and ``k`` in row ``j``
+    but not in row ``i``, or ``None`` when the endorelation is transitive.
+
+    Each distinct row ``r`` is checked once, through its least owner ``i``;
+    ``own`` masks the indices whose row is ``r``, and those need no check.
+    Of the rest of ``r``, the lowest unreached index ``k`` is checked
+    (``rows[k] ⊆ r``), then ``k`` and all of ``rows[k]`` count as reached.
+
+    Exact, by induction on the popcount of ``r``: a reached ``j`` that was
+    not checked lies in a checked ``rows[k]`` with ``rows[k] ⊊ r`` (it is a
+    subset by the check and differs from ``r`` because ``k`` is not an
+    owner).  A violation at ``(r, j)``, some bit of ``rows[j]`` outside
+    ``r``, is then outside ``rows[k]`` too: a violation at the strictly
+    smaller ``(rows[k], j)``, which by induction the pass over ``rows[k]``
+    would have reported.  A reported triple is a violation by construction.
+    Reaching ``k`` explicitly keeps the walk finite even where ``k`` is not
+    in ``rows[k]``.  So the cost of a row is its number of covering steps,
+    a few word-parallel operations each, not its number of related pairs.
+    """
+    for r, own in _row_owners(rows).items():
+        i = (own & -own).bit_length() - 1
+        rem = r & ~own
+        while rem:
+            low = rem & -rem
+            k = low.bit_length() - 1
+            extra = rows[k] & ~r
+            if extra:
+                return (i, k, (extra & -extra).bit_length() - 1)
+            rem &= ~(rows[k] | low)
+    return None
+
+
+def _monotonicity_counterexample(
+    src_rows: Sequence[int], dst_rows: Sequence[int], values: Sequence[int]
+) -> tuple[int, int] | None:
+    """A pair ``(a, b)`` related in ``src_rows`` whose images ``(f(a), f(b))``
+    are not related in ``dst_rows``, or ``None`` when ``f`` is monotone.
+
+    Both relations must be preorders.  Each class of equal source rows
+    ``r`` is checked through its least member ``rep``: every other member's
+    image must be related to ``f(rep)`` both ways, and the covered walk of
+    ``_transitivity_counterexample`` runs over the rest of ``r``, checking
+    ``f(rep) ≤ f(k)`` at each covering step ``k``.
+
+    Exact, by induction on the popcount of ``r``: a skipped ``j`` lies in a
+    checked ``rows[k] ⊊ r`` (transitivity of the source), so ``f(k) ≤ f(j)``
+    by induction, through the pass over the class of ``k``, and then
+    ``f(rep) ≤ f(k) ≤ f(j)`` by transitivity of the target; a member ``m``
+    has ``f(m) ≤ f(rep)`` as well.
+    """
+    for r, own in _row_owners(src_rows).items():
+        rep = (own & -own).bit_length() - 1
+        v = values[rep]
+        up = dst_rows[v]
+        others = own & (own - 1)
+        while others:
+            low = others & -others
+            m = low.bit_length() - 1
+            w = values[m]
+            if not up >> w & 1:
+                return (rep, m)
+            if not dst_rows[w] >> v & 1:
+                return (m, rep)
+            others ^= low
+        rem = r & ~own
+        while rem:
+            low = rem & -rem
+            k = low.bit_length() - 1
+            if not up >> values[k] & 1:
+                return (rep, k)
+            rem &= ~(src_rows[k] | low)
+    return None
+
+
 @dataclass(frozen=True)
 class RelationPredicates:
     reflexive: bool
@@ -318,14 +426,7 @@ def relation_predicates(r: Relation) -> RelationPredicates:
     n = r.src.size
     rows = r.rows
     reflexive = all(rows[i] >> i & 1 for i in range(n))
-    transitive = True
-    for i in range(n):
-        for j in _bits(rows[i]):
-            if rows[j] & ~rows[i]:
-                transitive = False
-                break
-        if not transitive:
-            break
+    transitive = _transitivity_counterexample(rows) is None
     cols = r.columns()
     symmetric = rows == cols
     antisymmetric = all(
@@ -349,14 +450,12 @@ class FinPreorder:
         for i in range(n):
             if not rows[i] >> i & 1:
                 raise ValueError(f"not reflexive: ({i}, {i}) missing")
-        for i in range(n):
-            for j in _bits(rows[i]):
-                extra = rows[j] & ~rows[i]
-                if extra:
-                    k = next(_bits(extra))
-                    raise ValueError(
-                        f"not transitive: ({i}, {j}) and ({j}, {k}) but not ({i}, {k})"
-                    )
+        bad = _transitivity_counterexample(rows)
+        if bad is not None:
+            i, j, k = bad
+            raise ValueError(
+                f"not transitive: ({i}, {j}) and ({j}, {k}) but not ({i}, {k})"
+            )
 
     @classmethod
     def discrete(cls, n: int, labels: tuple[str, ...] | None = None) -> "FinPreorder":
@@ -427,15 +526,13 @@ class PreordMorphism:
         if self.map.dom != self.src.carrier or self.map.cod != self.dst.carrier:
             raise ValueError("underlying map does not match the endpoints")
         values = self.map.values
-        drows = self.dst.rel.rows
-        for a, row in enumerate(self.src.rel.rows):
-            target = drows[values[a]]
-            for a2 in _bits(row):
-                if not target >> values[a2] & 1:
-                    raise ValueError(
-                        f"not monotone: ({a}, {a2}) related but "
-                        f"({values[a]}, {values[a2]}) is not"
-                    )
+        bad = _monotonicity_counterexample(self.src.rel.rows, self.dst.rel.rows, values)
+        if bad is not None:
+            a, a2 = bad
+            raise ValueError(
+                f"not monotone: ({a}, {a2}) related but "
+                f"({values[a]}, {values[a2]}) is not"
+            )
 
     def __call__(self, a: int) -> int:
         return self.map.values[a]
@@ -481,12 +578,8 @@ def preord_pullback(f: PreordMorphism, g: PreordMorphism) -> Pullback:
     if f.dst != g.dst:
         raise ValueError("codomain mismatch: morphisms have different targets")
     x_obj, z_obj = f.src, g.src
-    pairs = [
-        (x, z)
-        for x in range(x_obj.size)
-        for z in range(z_obj.size)
-        if f(x) == g(z)
-    ]
+    fibres = g.map.preimage_masks()
+    pairs = [(x, z) for x, v in enumerate(f.map.values) for z in _bits(fibres[v])]
     xmask = [0] * x_obj.size
     zmask = [0] * z_obj.size
     for k, (x, z) in enumerate(pairs):
@@ -556,10 +649,7 @@ def row_classes(rows: Sequence[int]) -> list[list[int]]:
     """Indices grouped by equal row, each class ascending and the classes
     ordered by least member.  On an equivalence relation these are its
     classes."""
-    grouped: dict[int, list[int]] = {}
-    for i, row in enumerate(rows):
-        grouped.setdefault(row, []).append(i)
-    return list(grouped.values())
+    return [list(_bits(own)) for own in _row_owners(rows).values()]
 
 
 def class_map(carrier: FinSet, classes: Sequence[Sequence[int]]) -> SetMap:

@@ -455,6 +455,9 @@ def check_classify_continuous_agreement(f: PreordMorphism) -> str | None:
 
 
 def _sweep(report: SuiteReport, name: str, instances, checker) -> None:
+    """Run ``checker`` on every instance; the first failure fails the check,
+    and so does a sweep that saw no instance, which would otherwise pass
+    vacuously."""
     count = 0
     for instance in instances:
         count += 1
@@ -465,7 +468,7 @@ def _sweep(report: SuiteReport, name: str, instances, checker) -> None:
         if failure is not None:
             report.add(name, f"instance {count}: {failure}")
             return
-    report.add(name, None, f"{count} instances")
+    report.add(name, None if count else "no instances were checked", f"{count} instances")
 
 
 def suite_pretorsion(

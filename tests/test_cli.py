@@ -5,6 +5,7 @@ import pytest
 
 from preord.cli import main
 from preord.docio import loads
+from preord.suites import suite_alexandroff, suite_factorization, suite_pretorsion, suite_stable_units
 
 RUNNING = """\
 preord 1
@@ -237,6 +238,24 @@ class TestCheck:
         assert main(["check", "--suite", "pretorsion", "--max-n", "2"]) == 0
         out = capsys.readouterr().out
         assert "pass: suite pretorsion" in out
+
+    def test_empty_bound_checks_the_empty_preorder(self, capsys):
+        assert main(["check", "--suite", "pretorsion", "--max-n", "0"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "pass: suite pretorsion (8/8 checks)"
+
+    @pytest.mark.parametrize("suite, options", [
+        (suite_factorization, dict(random_morphisms=2, cover_random=2, ortho_random=2, stability_samples=6)),
+        (suite_stable_units, dict(random_instances=2)),
+        (suite_alexandroff, dict(random_instances=2)),
+    ])
+    def test_every_check_sees_an_instance_at_the_empty_bound(self, suite, options):
+        assert suite(max_n=0, **options).ok
+
+    def test_a_check_that_saw_no_instance_fails(self):
+        report = suite_pretorsion(max_n=-1)
+        assert not report.ok
+        assert {check.detail for check in report.checks} == {"no instances were checked"}
+        assert report.lines()[-1] == "FAIL: suite pretorsion (0/8 checks)"
 
     def test_cap_error(self, capsys):
         assert main(["check", "--suite", "pretorsion", "--max-n", "7"]) == 2

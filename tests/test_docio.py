@@ -6,6 +6,7 @@ from hypothesis import assume, example, given
 
 from preord.alexandroff import preorder_to_space
 from preord.docio import Document, DocumentError, dumps, load, loads, save
+from preord.pretorsion import reflect
 from preord.relations import FinPreorder, FinSet, identity_morphism
 
 RUNNING = """\
@@ -181,20 +182,29 @@ class TestRoundTrip:
 
 @st.composite
 def labelled_preorders(draw):
-    """A preorder on explicit labels drawn from all text ``FinSet`` accepts."""
-    labels = draw(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=5, unique=True))
-    try:
-        FinSet(len(labels), tuple(labels))
-    except ValueError:
-        assume(False)
-    n = len(labels)
+    """A preorder, possibly empty, on default labels or on explicit labels
+    drawn from all text ``FinSet`` accepts."""
+    labels = draw(st.none() | st.lists(st.text(min_size=1, max_size=6), max_size=5, unique=True))
+    if labels is None:
+        n = draw(st.integers(0, 5))
+    else:
+        n = len(labels)
+        labels = tuple(labels)
+        try:
+            FinSet(n, labels)
+        except ValueError:
+            assume(False)
+    if n == 0:
+        return FinPreorder.discrete(0, labels)
     edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
-    return FinPreorder.from_edges(n, edges, tuple(labels))
+    return FinPreorder.from_edges(n, edges, labels)
 
 
 class TestLabels:
     @given(labelled_preorders())
     @example(FinPreorder.chain(2, ('q"x', "b\\y")))
+    @example(FinPreorder.chain(2))
+    @example(reflect(FinPreorder.discrete(0)).poset)
     def test_every_accepted_label_round_trips(self, p):
         doc = Document()
         doc.add_preorder("P", p)

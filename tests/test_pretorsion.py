@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 import strategies as sts
+from preord import relations
 from preord.oracle import brute_force_universal, enumerate_morphisms
 from preord.pretorsion import (
     Decomposition,
@@ -122,6 +123,34 @@ class TestReflect:
         del p
         gc.collect()
         assert ref() is None
+
+    def test_memo_makes_no_reference_cycle(self):
+        p = FinPreorder.from_edges(3, [(0, 1), (1, 0)], labels=("c0", "c1", "c2"))
+        reflection = reflect(p)
+        assert reflection.unit.src == p and reflection.unit.src.rel is p.rel
+        ref = weakref.ref(p)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del p
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_each_relation_is_transposed_once(self, monkeypatch):
+        # count real transposes, below the memo in ``Relation.columns``
+        transposed = []
+        transpose = relations._transpose
+        monkeypatch.setattr(
+            relations, "_transpose", lambda rows, width: transposed.append(rows) or transpose(rows, width)
+        )
+        p = running_example()
+        reflect(p)
+        canonical_sequence(p)
+        decompose(p)
+        canonical_sequence(p)
+        assert transposed.count(p.rel.rows) == 1
 
 
 class TestIdeal:

@@ -1,12 +1,21 @@
 import itertools
 import random
 
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 
 import strategies as sts
-from preord.oracle import enumerate_set_maps
+from preord.alexandroff import AlexandroffSpace, ContinuousMap, preorder_to_space
+from preord.oracle import (
+    enumerate_preorders,
+    enumerate_set_maps,
+    monotone_by_pairs,
+    transitive_by_pairs,
+)
 from preord.relations import (
+    _monotonicity_counterexample,
+    _transitivity_counterexample,
     FinPreorder,
     FinSet,
     PreordMorphism,
@@ -322,6 +331,16 @@ class TestPullback:
         for k in range(pb.object.size):
             assert f(pb.p1(k)) == g(pb.p2(k))
 
+    @given(sts.monotone_maps(max_size=5), st.data())
+    def test_carrier_is_every_matching_pair_in_lexicographic_order(self, f, data):
+        assume(f.dst.size)
+        g = data.draw(sts.monotone_maps(max_size=5, dst=f.dst))
+        pb = preord_pullback(f, g)
+        pairs = [(pb.p1(k), pb.p2(k)) for k in range(pb.object.size)]
+        assert pairs == [
+            (x, z) for x in range(f.src.size) for z in range(g.src.size) if f(x) == g(z)
+        ]
+
 
 class TestPullbackUniversalProperty:
     def test_against_all_probes(self):
@@ -390,6 +409,11 @@ class TestCarrierValidation:
         with pytest.raises(ValueError, match="labels"):
             FinSet(2, ("a",))
 
+    def test_default_labels_are_stored_as_none(self):
+        assert FinSet(2, ("0", "1")) == FinSet(2)
+        assert FinSet(0, ()).labels is None
+        assert FinSet(2, ("1", "0")).labels == ("1", "0")
+
     def test_preorder_must_be_reflexive(self):
         with pytest.raises(ValueError, match="reflexive"):
             FinPreorder(TWO, rel(TWO, TWO, [(0, 1)]))
@@ -397,3 +421,110 @@ class TestCarrierValidation:
     def test_preorder_must_be_transitive(self):
         with pytest.raises(ValueError, match="transitive"):
             FinPreorder(THREE, rel(THREE, THREE, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)]))
+
+
+class TestColumnsMemo:
+    def test_memoised_on_the_relation(self):
+        r = FinPreorder.chain(3).rel
+        assert r.columns() is r.columns()
+        assert r.columns() == (0b001, 0b011, 0b111)
+
+    def test_memo_leaves_equality_hash_and_repr_alone(self):
+        r, s = FinPreorder.chain(3).rel, FinPreorder.chain(3).rel
+        r.columns()
+        assert r == s and hash(r) == hash(s) and repr(r) == repr(s)
+
+
+def _reflexive_relations(n):
+    """Every reflexive relation on ``n`` points, as bit rows."""
+    positions = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for combo in range(1 << len(positions)):
+        rows = [1 << i for i in range(n)]
+        for p, (i, j) in enumerate(positions):
+            if combo >> p & 1:
+                rows[i] |= 1 << j
+        yield tuple(rows)
+
+
+@st.composite
+def closed_edge_sets(draw):
+    """Edges on 20 to 60 points, with their closure."""
+    n = draw(st.integers(20, 60))
+    point = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(point, point), min_size=1, max_size=2 * n))
+    return n, edges, FinPreorder.from_edges(n, edges)
+
+
+class TestCoveredValidation:
+    """The covered walks behind object and morphism validation agree with
+    the per-pair scans of ``oracle``, and every counterexample is genuine."""
+
+    def test_transitivity_on_every_reflexive_relation_up_to_four_points(self):
+        seen = 0
+        for n in range(5):
+            carrier = FinSet(n)
+            for rows in _reflexive_relations(n):
+                seen += 1
+                bad = _transitivity_counterexample(rows)
+                assert (bad is None) == transitive_by_pairs(rows)
+                relation = Relation(carrier, carrier, rows)
+                if bad is None:
+                    FinPreorder(carrier, relation)
+                    AlexandroffSpace(carrier, rows)
+                    continue
+                i, j, k = bad
+                assert rows[i] >> j & 1 and rows[j] >> k & 1 and not rows[i] >> k & 1
+                with pytest.raises(ValueError, match=rf"not transitive: \({i}, {j}\) and \({j}, {k}\) but not \({i}, {k}\)"):
+                    FinPreorder(carrier, relation)
+                with pytest.raises(ValueError, match=rf"not nested: U\({j}\) is not inside U\({i}\)"):
+                    AlexandroffSpace(carrier, rows)
+        assert seen == 4166
+
+    def test_monotonicity_on_every_set_map_up_to_three_points(self):
+        objects = [(p, preorder_to_space(p)) for n in range(4) for p in enumerate_preorders(n)]
+        seen = 0
+        for p, sp in objects:
+            for q, sq in objects:
+                for m in enumerate_set_maps(p.carrier, q.carrier):
+                    seen += 1
+                    v = m.values
+                    bad = _monotonicity_counterexample(p.rel.rows, q.rel.rows, v)
+                    assert (bad is None) == monotone_by_pairs(p.rel.rows, q.rel.rows, v)
+                    if bad is None:
+                        PreordMorphism(p, q, m)
+                        ContinuousMap(sp, sq, m)
+                        continue
+                    a, b = bad
+                    assert p.leq(a, b) and not q.leq(v[a], v[b])
+                    with pytest.raises(ValueError, match=rf"not monotone: \({a}, {b}\) related but \({v[a]}, {v[b]}\) is not"):
+                        PreordMorphism(p, q, m)
+                    with pytest.raises(ValueError, match="not continuous"):
+                        ContinuousMap(sp, sq, m)
+        assert seen == 24907
+
+    @given(closed_edge_sets(), st.data())
+    def test_transitivity_counterexample_after_removing_one_pair(self, closed, data):
+        _, _, p = closed
+        pairs = [(i, j) for i, j in p.rel.pairs() if i != j]
+        assume(pairs)
+        i, j = data.draw(st.sampled_from(pairs))
+        rows = list(p.rel.rows)
+        rows[i] &= ~(1 << j)
+        bad = _transitivity_counterexample(rows)
+        assert (bad is None) == transitive_by_pairs(rows)
+        if bad is not None:
+            a, b, c = bad
+            assert rows[a] >> b & 1 and rows[b] >> c & 1 and not rows[a] >> c & 1
+
+    @given(closed_edge_sets(), st.data())
+    def test_monotonicity_counterexample_after_removing_one_edge(self, closed, data):
+        n, edges, p = closed
+        drop = data.draw(st.integers(0, len(edges) - 1))
+        q = FinPreorder.from_edges(n, edges[:drop] + edges[drop + 1 :])
+        values = tuple(range(n))
+        bad = _monotonicity_counterexample(p.rel.rows, q.rel.rows, values)
+        assert (bad is None) == monotone_by_pairs(p.rel.rows, q.rel.rows, values)
+        assert (bad is None) == (p == q)
+        if bad is not None:
+            a, b = bad
+            assert p.leq(a, b) and not q.leq(a, b)
