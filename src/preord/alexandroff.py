@@ -167,9 +167,10 @@ class T0Reflection(NamedTuple):
 
 
 def t0_reflection(s: AlexandroffSpace) -> T0Reflection:
-    """Identify points with equal closures; the quotient is the finest T0
-    image and the projection is continuous."""
-    q = class_map(s.carrier, row_classes(_closure_masks(s)))
+    """Identify points with equal minimal neighborhoods (equivalently, equal
+    closures); the quotient is the finest T0 image and the projection is
+    continuous."""
+    q = class_map(s.carrier, row_classes(s.min_nbhd))
     nbhds = direct_image(q, Relation(s.carrier, s.carrier, s.min_nbhd)).rows
     quotient = AlexandroffSpace(q.cod, nbhds)
     return T0Reflection(quotient, ContinuousMap(s, quotient, q))
@@ -186,7 +187,8 @@ def subspace(s: AlexandroffSpace, points: Iterable[int]) -> AlexandroffSpace:
         table[x] = 1 << k
     labels = _fresh_labels([s.carrier.label(x) for x in members])
     carrier = FinSet(len(members), labels)
-    return AlexandroffSpace(carrier, _or_rows((s.min_nbhd[x] for x in members), table))
+    nbhds = _or_rows(s.min_nbhd, table)
+    return AlexandroffSpace(carrier, tuple(nbhds[x] for x in members))
 
 
 @dataclass(frozen=True)

@@ -171,6 +171,15 @@ def is_in_M_star(f: PreordMorphism) -> bool:
 def _effective_descent_counterexample(
     f: PreordMorphism,
 ) -> tuple[int, int, int] | None:
+    """A chain ``b1 ≤ b2 ≤ b3`` of the target over which no chain
+    ``e1 ≤ e2 ≤ e3`` of the source lies, or ``None``.
+
+    ``below[e]`` and ``above[e]`` are the images of the down- and up-set of
+    ``e``.  For each ``b2``, a point ``e`` of its fibre whose ``above[e]``
+    holds every ``b3 ≥ b2`` lifts the chains of every ``b1`` in
+    ``below[e]`` at once; only the other ``b1`` are checked one by one, in
+    ascending order, so the reported chain is the same.
+    """
     dst_rows = f.dst.rel.rows
     pre = f.map.preimage_masks()
     images = [1 << v for v in f.map.values]
@@ -179,9 +188,14 @@ def _effective_descent_counterexample(
     dst_cols = f.dst.rel.columns()
     for b2 in range(f.dst.size):
         rights = dst_rows[b2]
-        for b1 in _bits(dst_cols[b2]):
+        fibre = list(_bits(pre[b2]))
+        lifted = 0
+        for e2 in fibre:
+            if rights & ~above[e2] == 0:
+                lifted |= below[e2]
+        for b1 in _bits(dst_cols[b2] & ~lifted):
             covered = 0
-            for e2 in _bits(pre[b2]):
+            for e2 in fibre:
                 if below[e2] >> b1 & 1:
                     covered |= above[e2]
             missing = rights & ~covered

@@ -39,6 +39,8 @@ __all__ = [
     "brute_force_in_N",
     "brute_force_universal",
     "compose_relations_slow",
+    "or_rows_by_bits",
+    "transpose_by_bits",
     "closure_slow",
     "transitive_by_pairs",
     "monotone_by_pairs",
@@ -107,15 +109,35 @@ def monotone_by_pairs(src_rows, dst_rows, values) -> bool:
     )
 
 
+def or_rows_by_bits(rows, table) -> tuple[int, ...]:
+    """The OR of ``table[j]`` over the set bits ``j`` of each row, one step
+    per set bit: the slow counterpart of the covered walk in
+    ``relations._or_rows``."""
+    out = []
+    for row in rows:
+        acc = 0
+        for j in _bits(row):
+            acc |= table[j]
+        out.append(acc)
+    return tuple(out)
+
+
+def transpose_by_bits(rows, width: int) -> tuple[int, ...]:
+    """Bit columns, one update per set bit: the slow counterpart of the
+    covered walk in ``relations._transpose``."""
+    cols = [0] * width
+    for i, row in enumerate(rows):
+        for j in _bits(row):
+            cols[j] |= 1 << i
+    return tuple(cols)
+
+
 def _kind_accepts(rows: list[int], n: int, kind: str) -> bool:
     if kind == "preorder":
         return True
-    cols = [0] * n
-    for i in range(n):
-        for j in _bits(rows[i]):
-            cols[j] |= 1 << i
+    cols = transpose_by_bits(rows, n)
     if kind == "equivalence":
-        return rows == cols
+        return tuple(rows) == cols
     return all(rows[i] & cols[i] & ~(1 << i) == 0 for i in range(n))
 
 
@@ -413,12 +435,21 @@ def closure_slow(r: Relation) -> FinPreorder:
 
 
 def reflect_by_quotient(p: FinPreorder):
-    """Definitional partial-order reflection: the classes are the distinct
-    rows of the meet with the opposite, then quotient and push the relation
-    forward.  Cross-checks the condensation implementation."""
+    """Definitional partial-order reflection: the class of ``a`` collects
+    every ``b`` with ``leq(a, b) and leq(b, a)``, found pair by pair; then
+    quotient and push the relation forward.  Cross-checks ``reflect``, which
+    reads its classes off equal rows."""
     from .pretorsion import Reflection
 
-    unit = quotient(p, row_classes(meet(p.rel, opposite(p.rel)).rows))
+    classes = []
+    placed = [False] * p.size
+    for a in range(p.size):
+        if not placed[a]:
+            members = [b for b in range(a, p.size) if p.leq(a, b) and p.leq(b, a)]
+            for b in members:
+                placed[b] = True
+            classes.append(members)
+    unit = quotient(p, classes)
     return Reflection(unit.dst, unit)
 
 

@@ -9,7 +9,7 @@ through a discrete object form the ideal the splitting is exact against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .relations import (
     FinPreorder,
@@ -25,6 +25,7 @@ from .relations import (
     opposite,
     quotient,
     relation_predicates,
+    row_classes,
 )
 
 __all__ = [
@@ -51,57 +52,6 @@ def sym_core(p: FinPreorder) -> Relation:
     return meet(p.rel, opposite(p.rel))
 
 
-def _scc_classes(rows: Sequence[int], n: int) -> list[list[int]]:
-    """Tarjan's algorithm, iterative; classes sorted by least member."""
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    out: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        frames: list[tuple[int, Iterator[int]]] = [(root, _bits(rows[root]))]
-        while frames:
-            v, it = frames[-1]
-            advanced = False
-            for w in it:
-                if index[w] < 0:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    frames.append((w, _bits(rows[w])))
-                    advanced = True
-                    break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            if advanced:
-                continue
-            frames.pop()
-            if frames:
-                u = frames[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comp.sort()
-                out.append(comp)
-    out.sort(key=lambda c: c[0])
-    return out
-
-
 class Reflection(NamedTuple):
     poset: FinPreorder
     unit: PreordMorphism
@@ -110,9 +60,12 @@ class Reflection(NamedTuple):
 def reflect(p: FinPreorder) -> Reflection:
     """Quotient by mutual reachability, yielding the partial-order reflection.
 
-    For a reflexive transitive relation the strongly connected components of
-    its digraph are exactly the symmetric-core classes, so the quotient is
-    computed by condensation.  Class indices are ordered by least member.
+    The classes are read off equal rows (``row_classes``): in a preorder
+    ``a`` and ``b`` are related both ways exactly when their up-sets are
+    equal.  If ``a ≤ b ≤ a``, transitivity makes each up-set contain the
+    other; if the up-sets are equal, reflexivity puts ``b`` in the up-set
+    of ``a`` and ``a`` in that of ``b``.  Class indices are ordered by least
+    member.
 
     The result is memoised on ``p`` itself, outside its dataclass fields, so
     it lives exactly as long as ``p`` and never affects equality or hashing.
@@ -123,7 +76,7 @@ def reflect(p: FinPreorder) -> Reflection:
     memo = p.__dict__.get("_reflection")
     if memo is None:
         twin = FinPreorder(p.carrier, p.rel)
-        unit = quotient(twin, _scc_classes(p.rel.rows, p.size))
+        unit = quotient(twin, row_classes(p.rel.rows))
         memo = Reflection(unit.dst, unit)
         object.__setattr__(p, "_reflection", memo)
     return memo

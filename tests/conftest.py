@@ -4,6 +4,7 @@ settings.register_profile(
     "preord",
     deadline=None,
     max_examples=60,
+    print_blob=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("preord")

@@ -2,6 +2,7 @@
 
 import hypothesis.strategies as st
 from hypothesis import assume
+from hypothesis.errors import InvalidArgument
 
 from preord.relations import FinPreorder, FinSet, PreordMorphism, Relation, SetMap, _bits
 
@@ -49,13 +50,20 @@ def endorelation_pairs(draw, max_size: int = 5, count: int = 2):
 
 @st.composite
 def monotone_maps(draw, max_size: int = 6, src=None, dst=None):
-    """Build a monotone map by choosing images along a linear extension."""
-    p = src if src is not None else draw(preorders(max_size))
+    """Build a monotone map by choosing images along a linear extension.
+
+    When ``dst`` is empty the drawn source is empty too; a given nonempty
+    source has no map into an empty ``dst`` and raises ``InvalidArgument``.
+    """
+    if src is not None:
+        p = src
+    else:
+        p = draw(preorders(max_size if dst is None or dst.size else 0))
     q = dst if dst is not None else draw(preorders(max_size, min_size=1 if p.size else 0))
     if p.size == 0:
         return PreordMorphism(p, q, SetMap(p.carrier, q.carrier, ()))
     if q.size == 0:
-        raise st.InvalidArgument("empty target with nonempty source")
+        raise InvalidArgument("no map from a nonempty source into an empty target")
     order = sorted(range(p.size), key=lambda a: (-p.rel.rows[a].bit_count(), a))
     qcols = {b: 0 for b in range(q.size)}
     for b in range(q.size):

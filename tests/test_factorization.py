@@ -19,6 +19,7 @@ from preord.factorization import (
     reflective_factorization,
     verify_stable_units,
 )
+from preord.oracle import enumerate_morphisms, enumerate_preorders
 from preord.pretorsion import n_kernel, reflect
 from preord.relations import (
     FinPreorder,
@@ -90,6 +91,34 @@ class TestClassify:
         into_empty = morph(empty, empty, ())
         flags = classify(into_empty)
         assert flags.in_E_bar and flags.effective_descent
+
+    def test_effective_descent_witness_is_the_first_unlifted_chain(self):
+        objects = [p for n in range(4) for p in enumerate_preorders(n)]
+        seen = 0
+        for p in objects:
+            for q in objects:
+                for f in enumerate_morphisms(p, q):
+                    seen += 1
+                    chains = (
+                        (b1, b2, b3)
+                        for b2 in range(q.size)
+                        for b1 in range(q.size)
+                        for b3 in range(q.size)
+                        if q.leq(b1, b2) and q.leq(b2, b3)
+                    )
+                    unlifted = (
+                        chain
+                        for chain in chains
+                        if not any(
+                            (f(e1), f(e2), f(e3)) == chain and p.leq(e1, e2) and p.leq(e2, e3)
+                            for e1 in range(p.size)
+                            for e2 in range(p.size)
+                            for e3 in range(p.size)
+                        )
+                    )
+                    first = next(unlifted, None)
+                    assert classify(f).counterexamples.get("effective_descent") == first
+        assert seen == 11345
 
     def test_invariant_validation(self):
         with pytest.raises(ValueError, match="invariant"):

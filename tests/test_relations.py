@@ -4,18 +4,26 @@ import random
 import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given
+from hypothesis.errors import InvalidArgument
 
 import strategies as sts
 from preord.alexandroff import AlexandroffSpace, ContinuousMap, preorder_to_space
 from preord.oracle import (
+    closure_slow,
+    compose_relations_slow,
     enumerate_preorders,
     enumerate_set_maps,
     monotone_by_pairs,
+    or_rows_by_bits,
     transitive_by_pairs,
+    transpose_by_bits,
 )
 from preord.relations import (
     _monotonicity_counterexample,
+    _or_rows,
+    _scc_classes,
     _transitivity_counterexample,
+    _transpose,
     FinPreorder,
     FinSet,
     PreordMorphism,
@@ -37,6 +45,7 @@ from preord.relations import (
     reflexive_transitive_closure,
     relation_predicates,
     relation_square_is_pullback,
+    row_classes,
 )
 
 TWO = FinSet(2)
@@ -333,7 +342,6 @@ class TestPullback:
 
     @given(sts.monotone_maps(max_size=5), st.data())
     def test_carrier_is_every_matching_pair_in_lexicographic_order(self, f, data):
-        assume(f.dst.size)
         g = data.draw(sts.monotone_maps(max_size=5, dst=f.dst))
         pb = preord_pullback(f, g)
         pairs = [(pb.p1(k), pb.p2(k)) for k in range(pb.object.size)]
@@ -528,3 +536,91 @@ class TestCoveredValidation:
         if bad is not None:
             a, b = bad
             assert p.leq(a, b) and not q.leq(a, b)
+
+
+def _all_relations(src, dst):
+    """Every relation ``src -> dst``."""
+    for combo in range(1 << (src.size * dst.size)):
+        rows = tuple(combo >> (i * dst.size) & ((1 << dst.size) - 1) for i in range(src.size))
+        yield Relation(src, dst, rows)
+
+
+@st.composite
+def cyclic_relations(draw):
+    """Random edges on 20 to 80 points plus a directed cycle through some of
+    them: neither transitive nor acyclic."""
+    n = draw(st.integers(20, 80))
+    point = st.integers(0, n - 1)
+    cycle = draw(st.lists(point, min_size=2, max_size=n, unique=True))
+    edges = draw(st.lists(st.tuples(point, point), max_size=2 * n))
+    edges += list(zip(cycle, cycle[1:] + cycle[:1]))
+    return Relation.from_pairs(FinSet(n), FinSet(n), edges)
+
+
+def _assert_kernel_matches_bits(r):
+    rows, width = r.rows, r.dst.size
+    singletons = tuple(1 << j for j in range(width))
+    assert _or_rows(rows, singletons) == or_rows_by_bits(rows, singletons) == rows
+    assert _transpose(rows, width) == transpose_by_bits(rows, width)
+    if r.is_endorelation():
+        assert _or_rows(rows, rows) == or_rows_by_bits(rows, rows)
+        assert reflexive_transitive_closure(r) == closure_slow(r)
+
+
+class TestCoveredKernel:
+    """The covered walks of ``_or_rows``, ``_transpose`` and the closure
+    agree with their per-bit counterparts in ``oracle``."""
+
+    def test_every_endorelation_up_to_three_points(self):
+        seen = 0
+        for n in range(4):
+            carrier = FinSet(n)
+            for r in _all_relations(carrier, carrier):
+                seen += 1
+                _assert_kernel_matches_bits(r)
+        assert seen == 1 + 2 + 16 + 512
+
+    def test_heterogeneous_two_by_three_and_three_by_two(self):
+        wide = list(_all_relations(TWO, THREE))
+        tall = list(_all_relations(THREE, TWO))
+        for r in wide + tall:
+            _assert_kernel_matches_bits(r)
+        for r in wide:
+            for s in tall:
+                assert compose_relations(r, s) == compose_relations_slow(r, s)
+                assert compose_relations(s, r) == compose_relations_slow(s, r)
+
+    @given(cyclic_relations())
+    def test_cyclic_non_transitive_relations(self, r):
+        _assert_kernel_matches_bits(r)
+
+    @given(cyclic_relations())
+    def test_closed_relations(self, r):
+        _assert_kernel_matches_bits(reflexive_transitive_closure(r).rel)
+
+    @given(cyclic_relations())
+    def test_components_come_sinks_first(self, r):
+        comps = _scc_classes(r.rows)
+        earlier = 0
+        for comp in comps:
+            assert comp and not comp & earlier
+            reached = 0
+            for v in range(r.src.size):
+                if comp >> v & 1:
+                    reached |= r.rows[v]
+            assert reached & ~(earlier | comp) == 0
+            earlier |= comp
+        assert earlier == (1 << r.src.size) - 1
+        classes = row_classes(closure_slow(r).rel.rows)
+        assert sorted(comps) == sorted(sum(1 << v for v in cls) for cls in classes)
+
+
+class TestMonotoneMapStrategy:
+    @given(sts.monotone_maps(dst=FinPreorder.discrete(0)))
+    def test_empty_target_draws_the_empty_map(self, f):
+        assert f.src.size == 0 and f.dst.size == 0
+
+    @given(st.data())
+    def test_nonempty_source_into_empty_target_is_rejected(self, data):
+        with pytest.raises(InvalidArgument):
+            data.draw(sts.monotone_maps(src=FinPreorder.chain(2), dst=FinPreorder.discrete(0)))
