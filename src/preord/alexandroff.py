@@ -109,7 +109,7 @@ def closure_of_point(s: AlexandroffSpace, x: int) -> frozenset[int]:
     all contain ``x``."""
     if not 0 <= x < s.size:
         raise IndexError(f"point {x} out of range 0..{s.size - 1}")
-    return frozenset(_bits(_closure_masks(s)[x]))
+    return frozenset(y for y, nbhd in enumerate(s.min_nbhd) if nbhd >> x & 1)
 
 
 def is_T0(s: AlexandroffSpace) -> bool:

@@ -40,6 +40,7 @@ from .pretorsion import reflect, reflect_morphism, sym_core
 __all__ = [
     "MorphismClassification",
     "FactorizationResult",
+    "SYSTEMS",
     "Cover",
     "OrthogonalityError",
     "is_fully_faithful",
@@ -209,15 +210,15 @@ def is_effective_descent(f: PreordMorphism) -> bool:
     return _effective_descent_counterexample(f) is None
 
 
-_FLAG_CHECKS = (
-    ("fully_faithful", _fully_faithful_counterexample),
-    ("regular_epi", _regular_epi_counterexample),
-    ("in_E", _in_E_counterexample),
-    ("in_M", _in_M_counterexample),
-    ("in_E_bar", _in_E_bar_counterexample),
-    ("in_M_star", _fibre_poset_counterexample),
-    ("effective_descent", _effective_descent_counterexample),
-)
+_FLAG_CHECKS = {
+    "fully_faithful": _fully_faithful_counterexample,
+    "regular_epi": _regular_epi_counterexample,
+    "in_E": _in_E_counterexample,
+    "in_M": _in_M_counterexample,
+    "in_E_bar": _in_E_bar_counterexample,
+    "in_M_star": _fibre_poset_counterexample,
+    "effective_descent": _effective_descent_counterexample,
+}
 
 
 @dataclass(frozen=True)
@@ -253,7 +254,7 @@ def classify(f: PreordMorphism) -> MorphismClassification:
     """Evaluate every morphism class on ``f`` at once."""
     flags = {}
     counterexamples = {}
-    for name, check in _FLAG_CHECKS:
+    for name, check in _FLAG_CHECKS.items():
         ce = check(f)
         flags[name] = ce is None
         if ce is not None:
@@ -263,26 +264,27 @@ def classify(f: PreordMorphism) -> MorphismClassification:
 
 @dataclass(frozen=True)
 class FactorizationResult:
-    """A certified two-step factorization ``m ∘ e`` of a morphism."""
+    """A two-step factorization ``m ∘ e`` of a morphism, certified when it
+    is built: ``e`` lies in the left and ``m`` in the right class that
+    ``SYSTEMS`` names for ``system``."""
 
     mid: FinPreorder
     e: PreordMorphism
     m: PreordMorphism
     system: str
-    e_certificate: MorphismClassification
-    m_certificate: MorphismClassification
 
     def __post_init__(self) -> None:
         if self.e.dst != self.mid or self.m.src != self.mid:
             raise ValueError("legs do not meet in the middle object")
-        if self.system == "reflective":
-            good = self.e_certificate.in_E and self.m_certificate.in_M
-        elif self.system == "monotone-light":
-            good = self.e_certificate.in_E_bar and self.m_certificate.in_M_star
-        else:
+        if self.system not in SYSTEMS:
             raise ValueError(f"unknown factorization system {self.system!r}")
-        if not good:
-            raise ValueError(f"legs are not certified for the {self.system} system")
+        e_class, m_class, _ = SYSTEMS[self.system]
+        for leg, flag in (("e", e_class), ("m", m_class)):
+            if _FLAG_CHECKS[flag](getattr(self, leg)) is not None:
+                raise ValueError(
+                    f"legs are not certified for the {self.system} system: "
+                    f"{leg} is not {flag}"
+                )
 
     @property
     def composite(self) -> PreordMorphism:
@@ -309,14 +311,7 @@ def reflective_factorization(f: PreordMorphism) -> FactorizationResult:
             tuple(index[(unit_src(a), f(a))] for a in range(f.src.size)),
         ),
     )
-    return FactorizationResult(
-        mid=pb.object,
-        e=e,
-        m=pb.p2,
-        system="reflective",
-        e_certificate=classify(e),
-        m_certificate=classify(pb.p2),
-    )
+    return FactorizationResult(mid=pb.object, e=e, m=pb.p2, system="reflective")
 
 
 def monotone_light_factorization(f: PreordMorphism) -> FactorizationResult:
@@ -329,14 +324,15 @@ def monotone_light_factorization(f: PreordMorphism) -> FactorizationResult:
     e = quotient(f.src, classes)
     m_values = tuple(f(cls[0]) for cls in classes)
     m = PreordMorphism(e.dst, f.dst, SetMap(e.dst.carrier, f.dst.carrier, m_values))
-    return FactorizationResult(
-        mid=e.dst,
-        e=e,
-        m=m,
-        system="monotone-light",
-        e_certificate=classify(e),
-        m_certificate=classify(m),
-    )
+    return FactorizationResult(mid=e.dst, e=e, m=m, system="monotone-light")
+
+
+# Each factorization system: the classes certifying its left and right leg,
+# and the function that factors a morphism through it.
+SYSTEMS = {
+    "reflective": ("in_E", "in_M", reflective_factorization),
+    "monotone-light": ("in_E_bar", "in_M_star", monotone_light_factorization),
+}
 
 
 class Cover(NamedTuple):

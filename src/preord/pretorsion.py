@@ -18,6 +18,7 @@ from .relations import (
     SetMap,
     _bits,
     _fresh_labels,
+    compose_morphisms,
     identity_map,
     inverse_image,
     kernel_pair,
@@ -171,8 +172,6 @@ class NExactSequence:
             raise ValueError("free part target must be a partial order")
         if not self.free_part.is_surjective():
             raise ValueError("free part must be surjective")
-        from .relations import compose_morphisms
-
         if not in_ideal_N(compose_morphisms(self.free_part, self.torsion_part)):
             raise ValueError("composite must factor through a discrete object")
 
@@ -196,15 +195,13 @@ class Decomposition:
     section_data: SetMap
 
     def __post_init__(self) -> None:
-        flags = relation_predicates(self.equiv)
-        if not (flags.reflexive and flags.transitive and flags.symmetric):
-            raise ValueError("equiv must be an equivalence relation")
         if self.section_data.dom != self.equiv.src:
             raise ValueError("class map does not live on the carrier")
         if self.section_data.cod != self.quotient_order.carrier:
             raise ValueError("class map does not target the quotient carrier")
         if not self.section_data.is_surjective():
             raise ValueError("class map must be surjective")
+        # a kernel pair is an equivalence, so this also checks that ``equiv`` is
         if kernel_pair(self.section_data) != self.equiv:
             raise ValueError("class map does not induce the stated equivalence")
 

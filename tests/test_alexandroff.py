@@ -15,9 +15,9 @@ from preord.alexandroff import (
     subspace,
     t0_reflection,
 )
-from preord.oracle import enumerate_open_sets
+from preord.oracle import enumerate_open_sets, enumerate_preorders
 from preord.pretorsion import reflect
-from preord.relations import FinPreorder, FinSet, SetMap
+from preord.relations import FinPreorder, FinSet, SetMap, _bits
 
 
 def sierpinski():
@@ -63,6 +63,14 @@ class TestPointSets:
         space = sierpinski()
         assert closure_of_point(space, 0) == frozenset({0, 1})
         assert min_open(space, 0) == frozenset({0})
+
+    def test_closures_are_specialization_up_sets(self):
+        for n in range(4):
+            for p in enumerate_preorders(n):
+                space = preorder_to_space(p)
+                rows = space_to_preorder(space).rel.rows
+                for x in range(n):
+                    assert closure_of_point(space, x) == frozenset(_bits(rows[x]))
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):

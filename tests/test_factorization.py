@@ -3,6 +3,7 @@ from hypothesis import given, settings
 
 import strategies as sts
 from preord.factorization import (
+    FactorizationResult,
     MorphismClassification,
     check_orthogonality,
     classify,
@@ -12,6 +13,7 @@ from preord.factorization import (
     is_fully_faithful,
     is_in_E,
     is_in_E_bar,
+    is_in_M,
     is_in_M_star,
     is_regular_epi,
     monotone_light_factorization,
@@ -156,8 +158,8 @@ class TestReflectiveFactorization:
     @settings(max_examples=40)
     def test_random_certify_and_compose(self, f):
         result = reflective_factorization(f)
-        assert result.e_certificate.in_E
-        assert result.m_certificate.in_M
+        assert is_in_E(result.e)
+        assert is_in_M(result.m)
         assert result.composite.map == f.map
 
 
@@ -200,9 +202,40 @@ class TestMonotoneLightFactorization:
     @settings(max_examples=40)
     def test_random_certify_and_compose(self, f):
         result = monotone_light_factorization(f)
-        assert result.e_certificate.in_E_bar
-        assert result.m_certificate.in_M_star
+        assert is_in_E_bar(result.e)
+        assert is_in_M_star(result.m)
         assert result.composite.map == f.map
+
+
+class TestFactorizationResult:
+    def test_unknown_system(self):
+        legs = reflective_factorization(to_point(running_example()))
+        with pytest.raises(ValueError, match="unknown factorization system"):
+            FactorizationResult(legs.mid, legs.e, legs.m, "bogus")
+
+    def test_right_leg_outside_the_named_class(self):
+        # the identity of two points, discrete into codiscrete: its covering
+        # leg is not a trivial covering
+        f = morph(FinPreorder.discrete(2), FinPreorder.codiscrete(2), (0, 1))
+        legs = monotone_light_factorization(f)
+        assert is_in_E(legs.e) and not is_in_M(legs.m)
+        with pytest.raises(ValueError, match="m is not in_M"):
+            FactorizationResult(legs.mid, legs.e, legs.m, "reflective")
+
+    def test_left_leg_outside_the_named_class(self):
+        # a point into two codiscrete points: its reflection-inverted leg is
+        # not surjective
+        f = morph(FinPreorder.discrete(1), FinPreorder.codiscrete(2), (0,))
+        legs = reflective_factorization(f)
+        assert not is_in_E_bar(legs.e) and is_in_M_star(legs.m)
+        with pytest.raises(ValueError, match="e is not in_E_bar"):
+            FactorizationResult(legs.mid, legs.e, legs.m, "monotone-light")
+
+    def test_legs_must_meet_in_the_middle(self):
+        legs = reflective_factorization(to_point(running_example()))
+        other = FinPreorder.discrete(legs.mid.size + 1)
+        with pytest.raises(ValueError, match="do not meet"):
+            FactorizationResult(other, legs.e, legs.m, "reflective")
 
 
 class TestEffectiveDescentCover:
