@@ -32,7 +32,6 @@ from .relations import (
     meet,
     preord_pullback,
     quotient,
-    relation_predicates,
     row_classes,
 )
 from .pretorsion import reflect, reflect_morphism, sym_core
@@ -340,46 +339,52 @@ class Cover(NamedTuple):
     projection: PreordMorphism
 
 
+def _cover_rows(poset: FinPreorder, sizes: list[int]) -> tuple[int, ...]:
+    """The rows of the ``3|B|`` total space over the classes of ``poset``,
+    of the given sizes: each class takes a contiguous run of ``3 * size``
+    indices, one run of ``size`` per level.  An element is below itself,
+    the higher levels of its class and everything over a strictly higher
+    class.  Only the rows outlive the call."""
+    starts = [0]
+    for size in sizes:
+        starts.append(starts[-1] + 3 * size)
+    class_mask = [
+        (1 << stop) - (1 << start) for start, stop in zip(starts, starts[1:])
+    ]
+    above = _or_rows(poset.rel.rows, class_mask)
+    rows = []
+    for ci, size in enumerate(sizes):
+        strict = above[ci] & ~class_mask[ci]
+        for level in range(3):
+            first = starts[ci] + level * size
+            higher = strict | class_mask[ci] >> (first + size) << (first + size)
+            rows.extend(higher | 1 << k for k in range(first, first + size))
+    return tuple(rows)
+
+
 def effective_descent_cover(b: FinPreorder) -> Cover:
     """A partially ordered effective-descent surjection onto ``b``.
 
     The total space has three lexicographic levels over each element,
     ordered by (strict class order, level, equality), so it has exactly
     ``3 * |b|`` elements and is antisymmetric; chains in ``b`` lift level
-    by level.  Levels are serialized 1..3.
+    by level.  Levels are serialized 1..3.  The members of one class level
+    share their strict up-set, so they are twins for the validation walks.
     """
     poset, unit = reflect(b)
     classes = [list(_bits(fibre)) for fibre in unit.map.preimage_masks()]
-    triples: list[tuple[int, int, int]] = []
-    for ci, cls in enumerate(classes):
-        for level in range(3):
-            for beta in cls:
-                triples.append((ci, level, beta))
-    class_mask = [0] * len(classes)
-    for k, (ci, _, _) in enumerate(triples):
-        class_mask[ci] |= 1 << k
-    level_mask: dict[tuple[int, int], int] = {}
-    for k, (ci, level, _) in enumerate(triples):
-        level_mask[ci, level] = level_mask.get((ci, level), 0) | 1 << k
-    above = _or_rows(poset.rel.rows, class_mask)
-    strict_above = [acc & ~own for acc, own in zip(above, class_mask)]
-    rows = []
-    for k, (ci, level, _) in enumerate(triples):
-        row = strict_above[ci] | (1 << k)
-        for higher in range(level + 1, 3):
-            row |= level_mask[ci, higher]
-        rows.append(row)
-    labels = _fresh_labels(
-        [
-            f"({_class_label(b.carrier, classes[ci])},{level + 1},{b.carrier.label(beta)})"
-            for ci, level, beta in triples
-        ]
-    )
-    carrier = FinSet(len(triples), labels)
-    total = FinPreorder(carrier, Relation(carrier, carrier, tuple(rows)))
-    projection = PreordMorphism(
-        total, b, SetMap(carrier, b.carrier, tuple(beta for _, _, beta in triples))
-    )
+    names = []
+    values: list[int] = []
+    for cls in classes:
+        label = _class_label(b.carrier, cls)
+        members = [b.carrier.label(beta) for beta in cls]
+        for level in range(1, 4):
+            names.extend(f"({label},{level},{member})" for member in members)
+            values.extend(cls)
+    carrier = FinSet(len(values), _fresh_labels(names))
+    rows = _cover_rows(poset, [len(cls) for cls in classes])
+    total = FinPreorder(carrier, Relation(carrier, carrier, rows))
+    projection = PreordMorphism(total, b, SetMap(carrier, b.carrier, tuple(values)))
     return Cover(total, projection)
 
 
@@ -419,9 +424,9 @@ def pullback_mono_check(f: PreordMorphism) -> tuple[bool, bool]:
     and whether the induced map on class sets is injective.  The two
     booleans always agree.
     """
-    if not relation_predicates(f.src.rel).symmetric:
+    if not f.src.is_equivalence():
         raise ValueError("precondition violation: source must be an equivalence relation")
-    if not relation_predicates(f.dst.rel).symmetric:
+    if not f.dst.is_equivalence():
         raise ValueError("precondition violation: target must be an equivalence relation")
     pulled_back = inverse_image(f.map, f.dst.rel) == f.src.rel
     induced = reflect_morphism(f)

@@ -25,7 +25,6 @@ from .relations import (
     meet,
     opposite,
     quotient,
-    relation_predicates,
     row_classes,
 )
 
@@ -166,9 +165,9 @@ class NExactSequence:
     def __post_init__(self) -> None:
         if self.torsion_part.dst != self.free_part.src:
             raise ValueError("sequence legs are not composable")
-        if not relation_predicates(self.torsion_part.src.rel).symmetric:
+        if not self.torsion_part.src.is_equivalence():
             raise ValueError("torsion part source must be an equivalence relation")
-        if not relation_predicates(self.free_part.dst.rel).antisymmetric:
+        if not self.free_part.dst.is_partial_order():
             raise ValueError("free part target must be a partial order")
         if not self.free_part.is_surjective():
             raise ValueError("free part must be surjective")
@@ -214,7 +213,7 @@ def decompose(p: FinPreorder) -> Decomposition:
 
 def recompose(d: Decomposition) -> FinPreorder:
     """Rebuild the preorder as the inverse image of the quotient order."""
-    if not relation_predicates(d.quotient_order.rel).antisymmetric:
+    if not d.quotient_order.is_partial_order():
         raise ValueError("quotient order must be antisymmetric")
     return FinPreorder(d.equiv.src, inverse_image(d.section_data, d.quotient_order.rel))
 
@@ -225,9 +224,9 @@ def hom_is_trivial(t: FinPreorder, fp: FinPreorder, config=None) -> bool:
 
     Always true; this operation exists as a checkable statement of that fact.
     """
-    if not relation_predicates(t.rel).symmetric:
+    if not t.is_equivalence():
         raise ValueError("first argument must be an equivalence relation")
-    if not relation_predicates(fp.rel).antisymmetric:
+    if not fp.is_partial_order():
         raise ValueError("second argument must be a partial order")
     from .oracle import enumerate_morphisms
 

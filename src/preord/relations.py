@@ -395,6 +395,41 @@ def _row_owners(rows: Sequence[int]) -> dict[int, int]:
     return owners
 
 
+def _twin_groups(rows: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Twin groups of an endorelation: indices whose rows differ at most in
+    their own bits, so that they share one strict row ``rows[j] - {j}``.
+
+    Returns, for each index, the number of its group or ``-1``, and the mask
+    of each group; only groups of two or more are kept.  Twins form an
+    antichain: a twin ``k`` in ``rows[j]`` would lie in the shared strict
+    row and so in ``rows[k] - {k}``.  Indices are bucketed by the hash of
+    their strict row and compared exactly within a bucket, so the index
+    holds small ints and group masks, never a copy of a row.
+    """
+    leaders: dict[int, list[int]] = {}
+    found: dict[int, int] = {}
+    for j, row in enumerate(rows):
+        bit = 1 << j
+        strict = row & ~bit
+        h = hash(strict)
+        bucket = leaders.get(h)
+        if bucket is None:
+            leaders[h] = [j]
+            continue
+        for lead in bucket:
+            if rows[lead] & ~(1 << lead) == strict:
+                found[lead] = found.get(lead, 1 << lead) | bit
+                break
+        else:
+            bucket.append(j)
+    group = [-1] * len(rows)
+    masks = list(found.values())
+    for g, mask in enumerate(masks):
+        for j in _bits(mask):
+            group[j] = g
+    return group, masks
+
+
 def _transitivity_counterexample(rows: Sequence[int]) -> tuple[int, int, int] | None:
     """A triple ``(i, j, k)`` with ``j`` in row ``i`` and ``k`` in row ``j``
     but not in row ``i``, or ``None`` when the endorelation is transitive.
@@ -414,17 +449,40 @@ def _transitivity_counterexample(rows: Sequence[int]) -> tuple[int, int, int] | 
     Reaching ``k`` explicitly keeps the walk finite even where ``k`` is not
     in ``rows[k]``.  So the cost of a row is its number of covering steps,
     a few word-parallel operations each, not its number of related pairs.
+
+    Twins (``_twin_groups``) are reached together: after a checked ``k``,
+    every twin ``j`` of ``k`` counts as reached.  A twin in ``r`` has
+    ``rows[j] ⊆ (rows[k] - {k}) ∪ {j} ⊆ r``, so checking it would pass and
+    reach nothing beyond ``rows[k]`` and ``j`` itself; twins outside ``r``
+    were never unreached.  The walk thus skips only steps that cannot
+    fail, and reports the same triple as without twins.  On the ``3|B|``
+    effective-descent cover the members of a class level are twins, and
+    a row costs its number of twin groups instead of its class sizes.
+
+    The index costs a pass over all rows, while most preorders walk a few
+    steps per element, so it is built only once the walk has taken ``2n``
+    steps: a walk that never gets there pays one counter per step.
     """
+    budget = 2 * len(rows)
+    group = None
     for r, own in _row_owners(rows).items():
         i = (own & -own).bit_length() - 1
         rem = r & ~own
         while rem:
             low = rem & -rem
             k = low.bit_length() - 1
-            extra = rows[k] & ~r
+            sub = rows[k]
+            extra = sub & ~r
             if extra:
                 return (i, k, (extra & -extra).bit_length() - 1)
-            rem &= ~(rows[k] | low)
+            rem &= ~(sub | low)
+            budget -= 1
+            if budget < 0:
+                if group is None:
+                    group, masks = _twin_groups(rows)
+                g = group[k]
+                if g >= 0:
+                    rem &= ~masks[g]
     return None
 
 
@@ -445,7 +503,19 @@ def _monotonicity_counterexample(
     by induction, through the pass over the class of ``k``, and then
     ``f(rep) ≤ f(k) ≤ f(j)`` by transitivity of the target; a member ``m``
     has ``f(m) ≤ f(rep)`` as well.
+
+    Twins of a checked ``k`` (``_twin_groups`` of the source) are reached
+    together when one test passes: the OR of the images of the whole group
+    lies in the up-set of ``f(rep)``.  Then every twin ``j`` has
+    ``f(rep) ≤ f(j)``, and its row adds nothing beyond ``rows[k]`` and
+    ``j``, as in ``_transitivity_counterexample``; twins outside ``r`` are
+    no-ops to clear, so no ``⊆ r`` test is needed.  When the test fails the
+    twins are left to their own steps, so the walk reports the same pair
+    as without twins.  The index is built lazily, after ``2n`` steps, for
+    the same reason as there.
     """
+    budget = 2 * len(src_rows)
+    group = None
     for r, own in _row_owners(src_rows).items():
         rep = (own & -own).bit_length() - 1
         v = values[rep]
@@ -467,7 +537,23 @@ def _monotonicity_counterexample(
             if not up >> values[k] & 1:
                 return (rep, k)
             rem &= ~(src_rows[k] | low)
+            budget -= 1
+            if budget < 0:
+                if group is None:
+                    group, masks = _twin_groups(src_rows)
+                    images = [_image_mask(mask, values) for mask in masks]
+                g = group[k]
+                if g >= 0 and not images[g] & ~up:
+                    rem &= ~masks[g]
     return None
+
+
+def _image_mask(mask: int, values: Sequence[int]) -> int:
+    """The mask of the images of the indices in ``mask``."""
+    acc = 0
+    for j in _bits(mask):
+        acc |= 1 << values[j]
+    return acc
 
 
 @dataclass(frozen=True)
@@ -549,10 +635,18 @@ class FinPreorder:
         return self.rel.has(a, b)
 
     def is_partial_order(self) -> bool:
-        return relation_predicates(self.rel).antisymmetric
+        """Antisymmetry, read off equal rows: in a preorder ``a ≤ b ≤ a``
+        exactly when the up-sets of ``a`` and ``b`` are equal, so the order
+        is antisymmetric iff no two elements share a row."""
+        rows = self.rel.rows
+        return len(set(rows)) == len(rows)
 
     def is_equivalence(self) -> bool:
-        return relation_predicates(self.rel).symmetric
+        """Symmetry, read off equal rows: a preorder is symmetric iff every
+        element of an up-set has that same up-set, that is, iff every row
+        is the mask of the elements carrying it (which it contains, by
+        reflexivity)."""
+        return all(row == own for row, own in _row_owners(self.rel.rows).items())
 
     def is_discrete(self) -> bool:
         return self.rel == Relation.diagonal(self.carrier)

@@ -145,6 +145,9 @@ class TestReflect:
         monkeypatch.setattr(
             relations, "_transpose", lambda rows, width: transposed.append(rows) or transpose(rows, width)
         )
+        canonical_sequence(running_example())
+        assert len(transposed) == 1  # the symmetric core; its checks read equal rows
+        transposed.clear()
         p = running_example()
         reflect(p)
         canonical_sequence(p)

@@ -1,5 +1,8 @@
+import contextlib
 import itertools
 import random
+import sys
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
@@ -7,7 +10,9 @@ from hypothesis import assume, given
 from hypothesis.errors import InvalidArgument
 
 import strategies as sts
+from preord import relations
 from preord.alexandroff import AlexandroffSpace, ContinuousMap, preorder_to_space
+from preord.factorization import effective_descent_cover
 from preord.oracle import (
     closure_slow,
     compose_relations_slow,
@@ -17,13 +22,16 @@ from preord.oracle import (
     or_rows_by_bits,
     transitive_by_pairs,
     transpose_by_bits,
+    twin_groups_by_rows,
 )
 from preord.relations import (
+    _bits,
     _monotonicity_counterexample,
     _or_rows,
     _scc_classes,
     _transitivity_counterexample,
     _transpose,
+    _twin_groups,
     FinPreorder,
     FinSet,
     PreordMorphism,
@@ -252,6 +260,19 @@ class TestPredicates:
         assert (flags.reflexive, flags.transitive, flags.symmetric, flags.antisymmetric) == (
             True, True, False, True,
         )
+
+    def test_preorder_flags_read_off_equal_rows(self):
+        seen = posets = equivalences = 0
+        for n in range(5):
+            for p in enumerate_preorders(n):
+                seen += 1
+                flags = relation_predicates(p.rel)
+                assert p.is_partial_order() == flags.antisymmetric
+                assert p.is_equivalence() == flags.symmetric
+                posets += flags.antisymmetric
+                equivalences += flags.symmetric
+        # 355 of the preorders have 4 points
+        assert (seen, posets, equivalences) == (1 + 1 + 4 + 29 + 355, 243, 24)
 
 
 class TestClosure:
@@ -624,3 +645,241 @@ class TestMonotoneMapStrategy:
     def test_nonempty_source_into_empty_target_is_rejected(self, data):
         with pytest.raises(InvalidArgument):
             data.draw(sts.monotone_maps(src=FinPreorder.chain(2), dst=FinPreorder.discrete(0)))
+
+
+@contextlib.contextmanager
+def _twin_builds():
+    """Count the twin indexes the walks build, by the size of each."""
+    built = []
+    build = relations._twin_groups
+
+    def counted(rows):
+        built.append(len(rows))
+        return build(rows)
+
+    with mock.patch.object(relations, "_twin_groups", counted):
+        yield built
+
+
+def _without_twins(walk, cases):
+    """Run ``walk`` on each argument tuple over an empty twin index: the walk
+    that steps through every twin one at a time."""
+    with mock.patch.object(relations, "_twin_groups", lambda rows: ([-1] * len(rows), [])):
+        return [walk(*args) for args in cases]
+
+
+def _check_transitivity_walks(cases):
+    """Each of ``cases`` is a 1-tuple of rows."""
+    found = [_transitivity_counterexample(*args) for args in cases]
+    assert found == _without_twins(_transitivity_counterexample, cases)
+    for (rows,), bad in zip(cases, found):
+        assert (bad is None) == transitive_by_pairs(rows)
+        if bad is not None:
+            i, j, k = bad
+            assert rows[i] >> j & 1 and rows[j] >> k & 1 and not rows[i] >> k & 1
+
+
+def _check_monotonicity_walks(cases):
+    """Each of ``cases`` is ``(src_rows, dst_rows, values)``."""
+    found = [_monotonicity_counterexample(*args) for args in cases]
+    assert found == _without_twins(_monotonicity_counterexample, cases)
+    for (src, dst, values), bad in zip(cases, found):
+        assert (bad is None) == monotone_by_pairs(src, dst, values)
+        if bad is not None:
+            a, b = bad
+            assert src[a] >> b & 1 and not dst[values[a]] >> values[b] & 1
+
+
+def _assert_twin_groups(rows):
+    group, masks = _twin_groups(rows)
+    assert sorted(masks) == sorted(twin_groups_by_rows(rows))
+    assert group == [
+        next((g for g, mask in enumerate(masks) if mask >> j & 1), -1)
+        for j in range(len(rows))
+    ]
+
+
+@st.composite
+def planted_twins(draw):
+    """A preorder on 20 to 80 points with a planted twin antichain: the
+    ``twins`` share one strict up-set, and at least ``n/3`` points lie below
+    all ``n/3`` or more twins, so a walk steps through more than ``2n``
+    twins and builds the twin index."""
+    n = draw(st.integers(20, 80))
+    order = draw(st.permutations(range(n)))
+    third = -(-n // 3)
+    m = draw(st.integers(third, n // 2))
+    low = draw(st.integers(third, n - m - 1))
+    lower, twins, upper = order[:low], order[low : low + m], order[low + m :]
+    shared = draw(st.lists(st.sampled_from(upper), max_size=len(upper)))
+    edges = [(b, a) for b in lower for a in twins]
+    edges += [(a, s) for a in twins for s in shared]
+    edges += draw(st.lists(st.tuples(st.sampled_from(lower), st.sampled_from(upper)), max_size=n))
+    edges += draw(st.lists(st.tuples(st.sampled_from(upper), st.sampled_from(upper)), max_size=n))
+    return FinPreorder.from_edges(n, edges), twins, lower
+
+
+def _collision_rows():
+    """Rows whose strict parts collide in ``hash`` but differ, and a row ``z``
+    that passes the transitivity walk only if the two are taken for twins.
+
+    ``hash`` of a nonnegative int is its residue modulo a Mersenne prime
+    ``2**w - 1``; adding the bits ``0..w-1`` to a strict row whose lowest bit
+    is above them adds exactly that modulus.  Points ``0..w-1`` and ``x``
+    each sit below the four tops, so the walk builds the twin index before
+    it reaches ``z``, the last row.
+    """
+    modulus = sys.hash_info.modulus
+    w = modulus.bit_length()
+    assert modulus == (1 << w) - 1
+    x, y = w, w + 1
+    tops = range(w + 2, w + 6)
+    z = w + 6
+    top_mask = sum(1 << t for t in tops)
+    rows = [1 << j | top_mask for j in range(w)]
+    rows.append(1 << x | top_mask)
+    rows.append(1 << y | top_mask | modulus)
+    rows.extend(1 << t for t in tops)
+    rows.append(1 << z | 1 << x | 1 << y | top_mask)
+    assert hash(rows[x] & ~(1 << x)) == hash(rows[y] & ~(1 << y))
+    assert rows[x] & ~(1 << x) != rows[y] & ~(1 << y)
+    return tuple(rows), x, y, z
+
+
+class _CountingRows(tuple):
+    """Rows that count lookups by index; each walk step looks up one row."""
+
+    lookups = 0
+
+    def __getitem__(self, k):
+        self.lookups += 1
+        return tuple.__getitem__(self, k)
+
+
+class TestTwinWalks:
+    """Both validation walks skip twin groups once they have taken ``2n``
+    steps.  They agree with the per-pair scans of ``oracle`` and report the
+    same counterexample as the same walk over an empty twin index, on
+    inputs where the index is really built."""
+
+    def test_twin_groups_match_grouping_by_strict_rows(self):
+        nontrivial = 0
+        for n in range(5):
+            for p in enumerate_preorders(n):
+                rows = effective_descent_cover(p).total.rel.rows
+                _assert_twin_groups(rows)
+                nontrivial += bool(_twin_groups(rows)[1])
+        for n in range(4):
+            for rows in _reflexive_relations(n):
+                _assert_twin_groups(rows)
+                _assert_twin_groups(tuple(row & ~(1 << i) for i, row in enumerate(rows)))
+        _assert_twin_groups(_collision_rows()[0])
+        assert nontrivial > 300
+
+    def test_hash_collisions_are_compared_exactly(self):
+        rows, x, y, z = _collision_rows()
+        group, _ = _twin_groups(rows)
+        assert group[x] >= 0 and group[x] != group[y]
+        with _twin_builds() as built:
+            assert _transitivity_counterexample(rows) == (z, y, 0)
+        assert built == [len(rows)]
+        _check_transitivity_walks([(rows,)])
+
+    def test_cover_walks_on_every_preorder_up_to_four_points(self):
+        transitivity = []
+        monotonicity = []
+        for n in range(5):
+            for p in enumerate_preorders(n):
+                cover = effective_descent_cover(p)
+                rows = cover.total.rel.rows
+                values = cover.projection.map.values
+                transitivity.append((rows,))
+                for i, row in enumerate(rows):
+                    for j in _bits(row & ~(1 << i)):
+                        transitivity.append((rows[:i] + (row & ~(1 << j),) + rows[i + 1 :],))
+                monotonicity.append((rows, p.rel.rows, values))
+                for a, v in enumerate(values):
+                    for w in range(n):
+                        if w != v:
+                            changed = values[:a] + (w,) + values[a + 1 :]
+                            monotonicity.append((rows, p.rel.rows, changed))
+        with _twin_builds() as built:
+            _check_transitivity_walks(transitivity)
+        assert len(transitivity) > 17_000 and len(built) > 400
+        with _twin_builds() as built:
+            _check_monotonicity_walks(monotonicity)
+        assert len(monotonicity) > 13_000 and len(built) > 300
+
+    @given(planted_twins(), st.data())
+    def test_transitivity_on_planted_twins(self, planted, data):
+        p, twins, _ = planted
+        rows = p.rel.rows
+        group, _ = _twin_groups(rows)
+        assert len({group[a] for a in twins}) == 1 and group[twins[0]] >= 0
+        pairs = [(i, j) for i, j in p.rel.pairs() if i != j]
+        i, j = data.draw(st.sampled_from(pairs))
+        removed = rows[:i] + (rows[i] & ~(1 << j),) + rows[i + 1 :]
+        loops = data.draw(st.sets(st.sampled_from(range(p.size)), min_size=1))
+        irreflexive = tuple(row & ~(1 << i) if i in loops else row for i, row in enumerate(rows))
+        with _twin_builds() as built:
+            assert _transitivity_counterexample(rows) is None
+        assert built == [p.size]
+        _check_transitivity_walks([(rows,), (removed,), (irreflexive,)])
+        _assert_twin_groups(irreflexive)
+
+    @given(planted_twins(), st.data())
+    def test_monotonicity_on_planted_twins(self, planted, data):
+        p, twins, lower = planted
+        rows = p.rel.rows
+        identity = tuple(range(p.size))
+        with _twin_builds() as built:
+            assert _monotonicity_counterexample(rows, rows, identity) is None
+        assert built == [p.size]
+        a = data.draw(st.one_of(st.sampled_from(twins), st.integers(0, p.size - 1)))
+        w = data.draw(st.integers(0, p.size - 1))
+        changed = identity[:a] + (w,) + identity[a + 1 :]
+        # nothing lies between a lower point and a twin, so dropping one
+        # such pair leaves a preorder that only that pair violates
+        b, t = data.draw(st.sampled_from(lower)), data.draw(st.sampled_from(twins))
+        dropped = rows[:b] + (rows[b] & ~(1 << t),) + rows[b + 1 :]
+        assert transitive_by_pairs(dropped)
+        _check_monotonicity_walks(
+            [(rows, rows, identity), (rows, rows, changed), (rows, dropped, identity)]
+        )
+
+    def test_group_image_guards_the_skip(self):
+        # ten lower points below ten twins; only the last lower point loses
+        # the last twin in the target, and its row is walked after the
+        # index is built, through a group whose first twin passes
+        lower, twins = range(10), range(10, 20)
+        top = sum(1 << a for a in twins)
+        src = tuple([1 << b | top for b in lower] + [1 << a for a in twins])
+        dst = src[:9] + (src[9] & ~(1 << 19),) + src[10:]
+        identity = tuple(range(20))
+        with _twin_builds() as built:
+            assert _monotonicity_counterexample(src, dst, identity) == (9, 19)
+        assert built == [20]
+        _check_monotonicity_walks([(src, dst, identity)])
+
+    def test_twins_cost_one_step_per_group(self):
+        b = FinPreorder.codiscrete(20)
+        cover = effective_descent_cover(b)
+        n = cover.total.size
+        rows = _CountingRows(cover.total.rel.rows)
+        values = cover.projection.map.values
+        walks = [
+            (_transitivity_counterexample, (rows,)),
+            (_monotonicity_counterexample, (rows, b.rel.rows, values)),
+        ]
+        for walk, args in walks:
+            rows.lookups = 0
+            assert walk(*args) is None
+            # 2n steps, one lookup per twin to build the index, then one
+            # step per row: a level-0 or level-1 row reaches the next level
+            # in one step
+            assert rows.lookups <= 4 * n
+            rows.lookups = 0
+            assert _without_twins(walk, [args]) == [None]
+            # every level-0 and level-1 row steps through all 20 members of
+            # the next level
+            assert rows.lookups >= 2 * 20 * 20
