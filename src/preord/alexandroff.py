@@ -18,7 +18,8 @@ from .relations import (
     Relation,
     SetMap,
     _bits,
-    _fresh_labels,
+    _built,
+    _fresh_carrier,
     _monotonicity_counterexample,
     _or_rows,
     _transitivity_counterexample,
@@ -80,17 +81,19 @@ class AlexandroffSpace:
 
 def preorder_to_space(p: FinPreorder) -> AlexandroffSpace:
     """Topologize a preorder: opens are the down-closed sets, so the minimal
-    neighborhood of a point collects everything below it."""
-    return AlexandroffSpace(p.carrier, opposite(p.rel).rows)
+    neighborhood of a point collects everything below it.  Down-sets of a
+    preorder are nested, so the space is built unchecked."""
+    return _built(AlexandroffSpace, p.carrier, opposite(p.rel).rows)
 
 
 def space_to_preorder(s: AlexandroffSpace) -> FinPreorder:
     """The specialization preorder: ``x`` below ``y`` iff ``y`` lies in the
-    closure of ``x``, i.e. ``x`` is in every neighborhood of ``y``."""
+    closure of ``x``, i.e. ``x`` is in every neighborhood of ``y``.  Nested
+    neighborhoods give a preorder, built unchecked."""
     rel = opposite(
         Relation(s.carrier, s.carrier, s.min_nbhd)
     )
-    return FinPreorder(s.carrier, rel)
+    return _built(FinPreorder, s.carrier, rel)
 
 
 def min_open(s: AlexandroffSpace, x: int) -> frozenset[int]:
@@ -169,15 +172,17 @@ class T0Reflection(NamedTuple):
 def t0_reflection(s: AlexandroffSpace) -> T0Reflection:
     """Identify points with equal minimal neighborhoods (equivalently, equal
     closures); the quotient is the finest T0 image and the projection is
-    continuous."""
+    continuous.  Any member of a class may stand for it, as in
+    ``relations.quotient``, so both are built unchecked."""
     q = class_map(s.carrier, row_classes(s.min_nbhd))
     nbhds = direct_image(q, Relation(s.carrier, s.carrier, s.min_nbhd)).rows
-    quotient = AlexandroffSpace(q.cod, nbhds)
-    return T0Reflection(quotient, ContinuousMap(s, quotient, q))
+    quotient = _built(AlexandroffSpace, q.cod, nbhds)
+    return T0Reflection(quotient, _built(ContinuousMap, s, quotient, q))
 
 
 def subspace(s: AlexandroffSpace, points: Iterable[int]) -> AlexandroffSpace:
-    """The subspace on ``points`` with neighborhoods cut down by intersection."""
+    """The subspace on ``points`` with neighborhoods cut down by
+    intersection, which keeps them nested; built unchecked."""
     members = sorted(set(points))
     for x in members:
         if not 0 <= x < s.size:
@@ -185,10 +190,9 @@ def subspace(s: AlexandroffSpace, points: Iterable[int]) -> AlexandroffSpace:
     table = [0] * s.size
     for k, x in enumerate(members):
         table[x] = 1 << k
-    labels = _fresh_labels([s.carrier.label(x) for x in members])
-    carrier = FinSet(len(members), labels)
+    carrier = _fresh_carrier([s.carrier.label(x) for x in members])
     nbhds = _or_rows(s.min_nbhd, table)
-    return AlexandroffSpace(carrier, tuple(nbhds[x] for x in members))
+    return _built(AlexandroffSpace, carrier, tuple(nbhds[x] for x in members))
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,13 @@ from typing import NamedTuple
 
 from .relations import (
     FinPreorder,
-    FinSet,
     PreordMorphism,
     Relation,
     SetMap,
     _bits,
+    _built,
     _class_label,
-    _fresh_labels,
+    _fresh_carrier,
     _or_rows,
     compose_morphisms,
     direct_image,
@@ -294,14 +294,16 @@ def reflective_factorization(f: PreordMorphism) -> FactorizationResult:
     """Factor ``f`` through the pullback of its reflected map along the unit.
 
     The first leg is inverted by the reflection; the second is a trivial
-    covering (it is a pullback of a partial-order morphism).
+    covering (it is a pullback of a partial-order morphism).  The first leg
+    pairs two monotone maps into the pullback, so it is built unchecked.
     """
     _, unit_src = reflect(f.src)
     _, unit_dst = reflect(f.dst)
     induced = reflect_morphism(f)
     pb = preord_pullback(induced, unit_dst)
     index = {(pb.p1(k), pb.p2(k)): k for k in range(pb.object.size)}
-    e = PreordMorphism(
+    e = _built(
+        PreordMorphism,
         f.src,
         pb.object,
         SetMap(
@@ -317,12 +319,13 @@ def monotone_light_factorization(f: PreordMorphism) -> FactorizationResult:
     """Factor ``f`` through the quotient by kernel-pair-meet-symmetric-core.
 
     The quotient leg is surjective and fully faithful; the remaining leg is
-    a covering.
+    a covering.  The classes lie in the kernel pair and the symmetric core,
+    so ``m([a]) = f(a)`` is well defined and monotone; built unchecked.
     """
     classes = row_classes(meet(kernel_pair(f.map), sym_core(f.src)).rows)
     e = quotient(f.src, classes)
     m_values = tuple(f(cls[0]) for cls in classes)
-    m = PreordMorphism(e.dst, f.dst, SetMap(e.dst.carrier, f.dst.carrier, m_values))
+    m = _built(PreordMorphism, e.dst, f.dst, SetMap(e.dst.carrier, f.dst.carrier, m_values))
     return FactorizationResult(mid=e.dst, e=e, m=m, system="monotone-light")
 
 
@@ -368,8 +371,8 @@ def effective_descent_cover(b: FinPreorder) -> Cover:
     The total space has three lexicographic levels over each element,
     ordered by (strict class order, level, equality), so it has exactly
     ``3 * |b|`` elements and is antisymmetric; chains in ``b`` lift level
-    by level.  Levels are serialized 1..3.  The members of one class level
-    share their strict up-set, so they are twins for the validation walks.
+    by level.  Levels are serialized 1..3.  That order is a preorder sent
+    monotonically onto ``b``, so both are built unchecked.
     """
     poset, unit = reflect(b)
     classes = [list(_bits(fibre)) for fibre in unit.map.preimage_masks()]
@@ -381,10 +384,10 @@ def effective_descent_cover(b: FinPreorder) -> Cover:
         for level in range(1, 4):
             names.extend(f"({label},{level},{member})" for member in members)
             values.extend(cls)
-    carrier = FinSet(len(values), _fresh_labels(names))
+    carrier = _fresh_carrier(names)
     rows = _cover_rows(poset, [len(cls) for cls in classes])
-    total = FinPreorder(carrier, Relation(carrier, carrier, rows))
-    projection = PreordMorphism(total, b, SetMap(carrier, b.carrier, tuple(values)))
+    total = _built(FinPreorder, carrier, Relation(carrier, carrier, rows))
+    projection = _built(PreordMorphism, total, b, SetMap(carrier, b.carrier, tuple(values)))
     return Cover(total, projection)
 
 

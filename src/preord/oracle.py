@@ -44,7 +44,6 @@ __all__ = [
     "closure_slow",
     "transitive_by_pairs",
     "monotone_by_pairs",
-    "twin_groups_by_rows",
     "reflect_by_quotient",
     "enumerate_open_sets",
     "random_preorder",
@@ -108,17 +107,6 @@ def monotone_by_pairs(src_rows, dst_rows, values) -> bool:
         for a, row in enumerate(src_rows)
         for b in _bits(row)
     )
-
-
-def twin_groups_by_rows(rows) -> list[int]:
-    """The masks of the twin groups, keyed by the strict rows themselves
-    (``rows[j] - {j}``), groups of two or more only: the slow counterpart
-    of ``relations._twin_groups``, which keys by hash."""
-    groups: dict[int, int] = {}
-    for j, row in enumerate(rows):
-        key = row & ~(1 << j)
-        groups[key] = groups.get(key, 0) | 1 << j
-    return [mask for mask in groups.values() if mask & (mask - 1)]
 
 
 def or_rows_by_bits(rows, table) -> tuple[int, ...]:

@@ -17,7 +17,8 @@ from .relations import (
     Relation,
     SetMap,
     _bits,
-    _fresh_labels,
+    _built,
+    _fresh_carrier,
     compose_morphisms,
     identity_map,
     inverse_image,
@@ -69,27 +70,30 @@ def reflect(p: FinPreorder) -> Reflection:
 
     The result is memoised on ``p`` itself, outside its dataclass fields, so
     it lives exactly as long as ``p`` and never affects equality or hashing.
-    The unit starts at an equal twin of ``p`` sharing its relation, not at
+    The unit starts at an equal copy of ``p`` sharing its relation, not at
     ``p``: a memo reaching back to ``p`` would be a reference cycle, and ``p``
-    would outlive its last reference until the next garbage collection.
+    would outlive its last reference until the next garbage collection.  The
+    copy holds the fields of the preorder ``p``, so it is built unchecked.
     """
     memo = p.__dict__.get("_reflection")
     if memo is None:
-        twin = FinPreorder(p.carrier, p.rel)
-        unit = quotient(twin, row_classes(p.rel.rows))
+        copy = _built(FinPreorder, p.carrier, p.rel)
+        unit = quotient(copy, row_classes(p.rel.rows))
         memo = Reflection(unit.dst, unit)
         object.__setattr__(p, "_reflection", memo)
     return memo
 
 
 def reflect_morphism(f: PreordMorphism) -> PreordMorphism:
-    """The induced map between the partial-order reflections of the endpoints."""
+    """The induced map between the partial-order reflections of the
+    endpoints, monotone since ``[a] ≤ [b]`` iff ``a ≤ b``; built unchecked."""
     src_poset, src_unit = reflect(f.src)
     dst_poset, dst_unit = reflect(f.dst)
     values = [0] * src_poset.size
     for a in range(f.src.size):
         values[src_unit(a)] = dst_unit(f(a))
-    return PreordMorphism(src_poset, dst_poset, SetMap(src_poset.carrier, dst_poset.carrier, tuple(values)))
+    induced = SetMap(src_poset.carrier, dst_poset.carrier, tuple(values))
+    return _built(PreordMorphism, src_poset, dst_poset, induced)
 
 
 def in_ideal_N(f: PreordMorphism) -> bool:
@@ -123,8 +127,8 @@ def ideal_factorization(f: PreordMorphism) -> IdealFactorization | None:
     if not in_ideal_N(f):
         return None
     image = sorted(set(f.map.values))
-    labels = _fresh_labels([f.dst.carrier.label(b) for b in image])
-    mid = FinPreorder.discrete(len(image), labels)
+    carrier = _fresh_carrier([f.dst.carrier.label(b) for b in image])
+    mid = FinPreorder(carrier, Relation.diagonal(carrier))
     position = {b: k for k, b in enumerate(image)}
     collapse = PreordMorphism(
         f.src,
@@ -144,10 +148,12 @@ class NKernel(NamedTuple):
 
 def n_kernel(f: PreordMorphism) -> NKernel:
     """The kernel of ``f`` relative to the ideal: the source relation met
-    with the kernel pair, included back identically on elements."""
+    with the kernel pair, included back identically on elements.  A meet of
+    a preorder with an equivalence is a preorder inside it, so ``K`` and
+    its inclusion are built unchecked."""
     rel = meet(f.src.rel, kernel_pair(f.map))
-    K = FinPreorder(f.src.carrier, rel)
-    return NKernel(K, PreordMorphism(K, f.src, identity_map(f.src.carrier)))
+    K = _built(FinPreorder, f.src.carrier, rel)
+    return NKernel(K, _built(PreordMorphism, K, f.src, identity_map(f.src.carrier)))
 
 
 @dataclass(frozen=True)
@@ -176,9 +182,11 @@ class NExactSequence:
 
 
 def canonical_sequence(p: FinPreorder) -> NExactSequence:
-    """Symmetric-core inclusion followed by the reflection unit."""
-    core = FinPreorder(p.carrier, sym_core(p))
-    inclusion = PreordMorphism(core, p, identity_map(p.carrier))
+    """Symmetric-core inclusion followed by the reflection unit.  The core
+    is an equivalence inside ``p``, so it and its inclusion are built
+    unchecked."""
+    core = _built(FinPreorder, p.carrier, sym_core(p))
+    inclusion = _built(PreordMorphism, core, p, identity_map(p.carrier))
     unit = reflect(p).unit
     classes = tuple(tuple(_bits(fibre)) for fibre in unit.map.preimage_masks())
     return NExactSequence(inclusion, unit, classes)
@@ -212,10 +220,11 @@ def decompose(p: FinPreorder) -> Decomposition:
 
 
 def recompose(d: Decomposition) -> FinPreorder:
-    """Rebuild the preorder as the inverse image of the quotient order."""
+    """Rebuild the preorder as the inverse image of the quotient order, a
+    preorder because the quotient order is one; built unchecked."""
     if not d.quotient_order.is_partial_order():
         raise ValueError("quotient order must be antisymmetric")
-    return FinPreorder(d.equiv.src, inverse_image(d.section_data, d.quotient_order.rel))
+    return _built(FinPreorder, d.equiv.src, inverse_image(d.section_data, d.quotient_order.rel))
 
 
 def hom_is_trivial(t: FinPreorder, fp: FinPreorder, config=None) -> bool:

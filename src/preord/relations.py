@@ -9,6 +9,11 @@ threads.
 
 Elements are canonical indices ``0..size-1``; labels are presentation-only
 metadata carried along for display and serialization.
+
+Public constructors check their input (``FinPreorder``, ``PreordMorphism``,
+and the spaces and continuous maps of ``alexandroff``).  Library results are
+made with ``_built``, unchecked, only where their docstring says why they are
+preorders or monotone maps; the suites re-check them.
 """
 
 from __future__ import annotations
@@ -112,13 +117,23 @@ def _is_label(lab: object) -> bool:
     return isinstance(lab, str) and lab.split() == [lab] and "#" not in lab
 
 
-def _fresh_labels(candidates: list[str]) -> tuple[str, ...] | None:
-    """Use the candidate labels only when they are valid and distinct."""
-    if len(set(candidates)) != len(candidates):
-        return None
-    if not all(_is_label(c) for c in candidates):
-        return None
-    return tuple(candidates)
+def _fresh_carrier(candidates: list[str]) -> FinSet:
+    """A carrier labelled by the candidates when they are valid and
+    distinct, and by the default labels otherwise."""
+    try:
+        return FinSet(len(candidates), tuple(candidates))
+    except ValueError:
+        return FinSet(len(candidates))
+
+
+def _built(cls, *values):
+    """An instance of the frozen dataclass ``cls`` with the given field
+    values, made without running its ``__post_init__`` checks.  Only for
+    library results whose construction proves what the checks would test."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def _class_label(carrier: FinSet, members: Iterable[int]) -> str:
@@ -395,41 +410,6 @@ def _row_owners(rows: Sequence[int]) -> dict[int, int]:
     return owners
 
 
-def _twin_groups(rows: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Twin groups of an endorelation: indices whose rows differ at most in
-    their own bits, so that they share one strict row ``rows[j] - {j}``.
-
-    Returns, for each index, the number of its group or ``-1``, and the mask
-    of each group; only groups of two or more are kept.  Twins form an
-    antichain: a twin ``k`` in ``rows[j]`` would lie in the shared strict
-    row and so in ``rows[k] - {k}``.  Indices are bucketed by the hash of
-    their strict row and compared exactly within a bucket, so the index
-    holds small ints and group masks, never a copy of a row.
-    """
-    leaders: dict[int, list[int]] = {}
-    found: dict[int, int] = {}
-    for j, row in enumerate(rows):
-        bit = 1 << j
-        strict = row & ~bit
-        h = hash(strict)
-        bucket = leaders.get(h)
-        if bucket is None:
-            leaders[h] = [j]
-            continue
-        for lead in bucket:
-            if rows[lead] & ~(1 << lead) == strict:
-                found[lead] = found.get(lead, 1 << lead) | bit
-                break
-        else:
-            bucket.append(j)
-    group = [-1] * len(rows)
-    masks = list(found.values())
-    for g, mask in enumerate(masks):
-        for j in _bits(mask):
-            group[j] = g
-    return group, masks
-
-
 def _transitivity_counterexample(rows: Sequence[int]) -> tuple[int, int, int] | None:
     """A triple ``(i, j, k)`` with ``j`` in row ``i`` and ``k`` in row ``j``
     but not in row ``i``, or ``None`` when the endorelation is transitive.
@@ -449,22 +429,7 @@ def _transitivity_counterexample(rows: Sequence[int]) -> tuple[int, int, int] | 
     Reaching ``k`` explicitly keeps the walk finite even where ``k`` is not
     in ``rows[k]``.  So the cost of a row is its number of covering steps,
     a few word-parallel operations each, not its number of related pairs.
-
-    Twins (``_twin_groups``) are reached together: after a checked ``k``,
-    every twin ``j`` of ``k`` counts as reached.  A twin in ``r`` has
-    ``rows[j] ⊆ (rows[k] - {k}) ∪ {j} ⊆ r``, so checking it would pass and
-    reach nothing beyond ``rows[k]`` and ``j`` itself; twins outside ``r``
-    were never unreached.  The walk thus skips only steps that cannot
-    fail, and reports the same triple as without twins.  On the ``3|B|``
-    effective-descent cover the members of a class level are twins, and
-    a row costs its number of twin groups instead of its class sizes.
-
-    The index costs a pass over all rows, while most preorders walk a few
-    steps per element, so it is built only once the walk has taken ``2n``
-    steps: a walk that never gets there pays one counter per step.
     """
-    budget = 2 * len(rows)
-    group = None
     for r, own in _row_owners(rows).items():
         i = (own & -own).bit_length() - 1
         rem = r & ~own
@@ -476,13 +441,6 @@ def _transitivity_counterexample(rows: Sequence[int]) -> tuple[int, int, int] | 
             if extra:
                 return (i, k, (extra & -extra).bit_length() - 1)
             rem &= ~(sub | low)
-            budget -= 1
-            if budget < 0:
-                if group is None:
-                    group, masks = _twin_groups(rows)
-                g = group[k]
-                if g >= 0:
-                    rem &= ~masks[g]
     return None
 
 
@@ -503,19 +461,7 @@ def _monotonicity_counterexample(
     by induction, through the pass over the class of ``k``, and then
     ``f(rep) ≤ f(k) ≤ f(j)`` by transitivity of the target; a member ``m``
     has ``f(m) ≤ f(rep)`` as well.
-
-    Twins of a checked ``k`` (``_twin_groups`` of the source) are reached
-    together when one test passes: the OR of the images of the whole group
-    lies in the up-set of ``f(rep)``.  Then every twin ``j`` has
-    ``f(rep) ≤ f(j)``, and its row adds nothing beyond ``rows[k]`` and
-    ``j``, as in ``_transitivity_counterexample``; twins outside ``r`` are
-    no-ops to clear, so no ``⊆ r`` test is needed.  When the test fails the
-    twins are left to their own steps, so the walk reports the same pair
-    as without twins.  The index is built lazily, after ``2n`` steps, for
-    the same reason as there.
     """
-    budget = 2 * len(src_rows)
-    group = None
     for r, own in _row_owners(src_rows).items():
         rep = (own & -own).bit_length() - 1
         v = values[rep]
@@ -537,23 +483,7 @@ def _monotonicity_counterexample(
             if not up >> values[k] & 1:
                 return (rep, k)
             rem &= ~(src_rows[k] | low)
-            budget -= 1
-            if budget < 0:
-                if group is None:
-                    group, masks = _twin_groups(src_rows)
-                    images = [_image_mask(mask, values) for mask in masks]
-                g = group[k]
-                if g >= 0 and not images[g] & ~up:
-                    rem &= ~masks[g]
     return None
-
-
-def _image_mask(mask: int, values: Sequence[int]) -> int:
-    """The mask of the images of the indices in ``mask``."""
-    acc = 0
-    for j in _bits(mask):
-        acc |= 1 << values[j]
-    return acc
 
 
 @dataclass(frozen=True)
@@ -718,7 +648,9 @@ def reflexive_transitive_closure(r: Relation) -> FinPreorder:
     component it points into is already closed.  Its row is its own mask
     plus the covered walk of ``_or_rows`` over its successors: the lowest
     unreached successor ``k`` ORs in its closed row, which is a subset of
-    the answer, and counts all of it, and ``k`` itself, as reached.
+    the answer, and counts all of it, and ``k`` itself, as reached.  A row
+    holds its own element and the closed rows of its successors, so the
+    result is a preorder, built unchecked.
     """
     _require_endorelation(r)
     rows = r.rows
@@ -737,7 +669,7 @@ def reflexive_transitive_closure(r: Relation) -> FinPreorder:
             rem &= ~(closed[k] | low)
         for v in members:
             closed[v] = acc
-    return FinPreorder(r.src, Relation(r.src, r.src, tuple(closed)))
+    return _built(FinPreorder, r.src, Relation(r.src, r.src, tuple(closed)))
 
 
 @dataclass(frozen=True)
@@ -771,14 +703,16 @@ class PreordMorphism:
 
 
 def identity_morphism(p: FinPreorder) -> PreordMorphism:
-    return PreordMorphism(p, p, identity_map(p.carrier))
+    """The identity of ``p``, monotone by reflexivity; built unchecked."""
+    return _built(PreordMorphism, p, p, identity_map(p.carrier))
 
 
 def compose_morphisms(g: PreordMorphism, f: PreordMorphism) -> PreordMorphism:
-    """The composite ``g after f``."""
+    """The composite ``g after f``: a composite of monotone maps is
+    monotone, so it is built unchecked."""
     if f.dst != g.src:
         raise ValueError("morphisms are not composable")
-    return PreordMorphism(f.src, g.dst, compose_maps(g.map, f.map))
+    return _built(PreordMorphism, f.src, g.dst, compose_maps(g.map, f.map))
 
 
 def is_isomorphism(f: PreordMorphism) -> bool:
@@ -799,7 +733,8 @@ def preord_pullback(f: PreordMorphism, g: PreordMorphism) -> Pullback:
 
     Carrier: pairs ``(x, z)`` with ``f(x) = g(z)`` in lexicographic index
     order.  The order is componentwise, which makes both projections
-    monotone and jointly order-reflecting.
+    monotone and jointly order-reflecting.  The componentwise order of two
+    preorders is a preorder, so all three are built unchecked.
     """
     if f.dst != g.dst:
         raise ValueError("codomain mismatch: morphisms have different targets")
@@ -813,14 +748,13 @@ def preord_pullback(f: PreordMorphism, g: PreordMorphism) -> Pullback:
         zmask[z] |= 1 << k
     rx = _or_rows(x_obj.rel.rows, xmask)
     sz = _or_rows(z_obj.rel.rows, zmask)
-    labels = _fresh_labels(
+    carrier = _fresh_carrier(
         [f"({x_obj.carrier.label(x)},{z_obj.carrier.label(z)})" for x, z in pairs]
     )
-    carrier = FinSet(len(pairs), labels)
     rows = tuple(rx[x] & sz[z] for x, z in pairs)
-    obj = FinPreorder(carrier, Relation(carrier, carrier, rows))
-    p1 = PreordMorphism(obj, x_obj, SetMap(carrier, x_obj.carrier, tuple(x for x, _ in pairs)))
-    p2 = PreordMorphism(obj, z_obj, SetMap(carrier, z_obj.carrier, tuple(z for _, z in pairs)))
+    obj = _built(FinPreorder, carrier, Relation(carrier, carrier, rows))
+    p1 = _built(PreordMorphism, obj, x_obj, SetMap(carrier, x_obj.carrier, tuple(x for x, _ in pairs)))
+    p2 = _built(PreordMorphism, obj, z_obj, SetMap(carrier, z_obj.carrier, tuple(z for _, z in pairs)))
     return Pullback(obj, p1, p2)
 
 
@@ -885,17 +819,38 @@ def class_map(carrier: FinSet, classes: Sequence[Sequence[int]]) -> SetMap:
     for ci, cls in enumerate(classes):
         for a in cls:
             values[a] = ci
-    labels = _fresh_labels([_class_label(carrier, cls) for cls in classes])
-    return SetMap(carrier, FinSet(len(classes), labels), tuple(values))
+    cod = _fresh_carrier([_class_label(carrier, cls) for cls in classes])
+    return SetMap(carrier, cod, tuple(values))
 
 
 def quotient(p: FinPreorder, classes: Sequence[Sequence[int]]) -> PreordMorphism:
-    """The quotient of ``p`` by a partition: the class map, as a monotone
-    surjection onto the class carrier ordered by the pushed-forward relation.
+    """The quotient of ``p`` by a partition that refines its symmetric core:
+    the class map, as a monotone surjection onto the class carrier ordered
+    by the pushed-forward relation.
 
-    When the partition refines the symmetric core the pushed relation is
-    transitive; for other partitions it may not be, and then the quotient
-    object is rejected.
+    ``classes`` must be nonempty lists that together hold every element of
+    ``p`` exactly once, and the members of a class must have equal rows
+    (be related both ways); otherwise ``ValueError``.  Then ``a ≤ b`` iff
+    ``[a] ≤ [b]``, since any member of a class may stand for it, so the
+    pushed relation is a preorder and the class map monotone; both are
+    built unchecked.
     """
+    n = p.size
+    rows = p.rel.rows
+    seen = bytearray(n)
+    for cls in classes:
+        if not cls:
+            raise ValueError("not a partition: a class is empty")
+        for a in cls:
+            if not 0 <= a < n:
+                raise ValueError(f"not a partition: element {a} out of range 0..{n - 1}")
+            if seen[a]:
+                raise ValueError(f"not a partition: element {a} is in two classes")
+            seen[a] = 1
+            if rows[a] != rows[cls[0]]:
+                raise ValueError(f"class of {cls[0]} leaves the symmetric core at {a}")
+    missing = seen.find(0)
+    if missing >= 0:
+        raise ValueError(f"not a partition: element {missing} is in no class")
     q = class_map(p.carrier, classes)
-    return PreordMorphism(p, FinPreorder(q.cod, direct_image(q, p.rel)), q)
+    return _built(PreordMorphism, p, _built(FinPreorder, q.cod, direct_image(q, p.rel)), q)

@@ -21,6 +21,7 @@ from .relations import (
     FinSet,
     PreordMorphism,
     SetMap,
+    _monotonicity_counterexample,
     compose_morphisms,
     direct_image,
     identity_morphism,
@@ -97,13 +98,25 @@ def _morphisms(objects, config=None):
 # instance checks
 
 
+def _is_monotone(src: FinPreorder, dst: FinPreorder, f: PreordMorphism) -> bool:
+    """Whether ``f`` is monotone from ``src`` to ``dst``, by the walk that
+    ``PreordMorphism`` runs; library results are built without it, so the
+    checks run it here.  Both endpoints must already be known preorders."""
+    return _monotonicity_counterexample(src.rel.rows, dst.rel.rows, f.map.values) is None
+
+
 def check_reflection_parts(
     p: FinPreorder, poset: FinPreorder, unit: PreordMorphism
 ) -> str | None:
     """The quotient must be an antisymmetric surjective image whose relation
     pulls back to the original one, matching the definitional construction."""
-    if not relation_predicates(poset.rel).antisymmetric:
+    flags = relation_predicates(poset.rel)
+    if not (flags.reflexive and flags.transitive):
+        return "quotient is not a preorder"
+    if not flags.antisymmetric:
         return "quotient is not antisymmetric"
+    if not _is_monotone(p, poset, unit):
+        return "unit is not monotone"
     if not unit.is_surjective():
         return "unit is not surjective"
     if inverse_image(unit.map, poset.rel) != p.rel:
@@ -194,6 +207,13 @@ def check_kernel_universal(f: PreordMorphism, probe_cap: int = 3, config=None) -
 def check_factorization_parts(
     f: PreordMorphism, result: fct.FactorizationResult
 ) -> str | None:
+    flags = relation_predicates(result.mid.rel)
+    if not (flags.reflexive and flags.transitive):
+        return "middle object is not a preorder"
+    if not _is_monotone(f.src, result.mid, result.e):
+        return "first leg is not monotone"
+    if not _is_monotone(result.mid, f.dst, result.m):
+        return "second leg is not monotone"
     if result.composite.map != f.map:
         return "legs do not compose back to the morphism"
     if result.system == "monotone-light":
@@ -284,8 +304,13 @@ def check_cover_parts(
 ) -> str | None:
     if total.size != 3 * b.size:
         return f"cover has {total.size} elements, expected {3 * b.size}"
-    if not relation_predicates(total.rel).antisymmetric:
+    flags = relation_predicates(total.rel)
+    if not (flags.reflexive and flags.transitive):
+        return "cover is not a preorder"
+    if not flags.antisymmetric:
         return "cover is not antisymmetric"
+    if not _is_monotone(total, b, projection):
+        return "cover projection is not monotone"
     if not projection.is_surjective():
         return "cover projection is not surjective"
     if not fct.is_effective_descent(projection):
