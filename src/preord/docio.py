@@ -6,6 +6,13 @@ requires the listed edges to already be reflexive and transitive.  Saving
 emits the full closed relation, so saved documents load identically in
 either mode.
 
+The loader reads the text in one pass, keeping each block's lines, then
+ORs every edge straight into the bit row of its first point and closes the
+rows; the writer emits each bit row as its edge lines.  Every syntax error
+in the document is reported before any unknown point, and a block's
+``points`` may follow its ``edge`` lines.  ``oracle.dumps_by_pairs`` is the
+per-pair writer the fast one is checked against.
+
     preord 1
 
     object P
@@ -86,9 +93,16 @@ class Document:
         self.spaces[name] = s
 
     def add_morphism(self, name: str, f: PreordMorphism, src: str, dst: str) -> None:
+        """Add ``f`` between objects already added as ``src`` and ``dst``,
+        so that the saved text names ends it can load back."""
         _require_names(name, src, dst)
         if name in self.morphisms:
             raise DocumentError(f"duplicate morphism name {name!r}")
+        for end, obj, role in ((src, f.src, "source"), (dst, f.dst, "target")):
+            if end not in self.preorders:
+                raise DocumentError(f"morphism {name!r} references unknown object {end!r}")
+            if self.preorders[end] != obj:
+                raise DocumentError(f"object {end!r} is not the {role} of morphism {name!r}")
         self.morphisms[name] = f
         self.morphism_ends[name] = (src, dst)
 
@@ -107,17 +121,14 @@ class _Block:
     line: int
     points: list[str] = field(default_factory=list)
     point_lines: dict[str, int] = field(default_factory=dict)
-    edges: list[tuple[str, str, int]] = field(default_factory=list)
+    # one entry per edge line, in three flat lists: tuples would each be
+    # tracked by the garbage collector, which costs more than the appends
+    edge_from: list[str] = field(default_factory=list)
+    edge_to: list[str] = field(default_factory=list)
+    edge_lines: list[int] = field(default_factory=list)
     nbhds: list[tuple[str, list[str], int]] = field(default_factory=list)
     sends: list[tuple[str, str, int]] = field(default_factory=list)
     ends: tuple[str, str] | None = None
-
-
-def _tokenize(text: str):
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
 
 
 def _index_points(block: _Block) -> tuple[FinSet, dict[str, int]]:
@@ -145,16 +156,24 @@ def _resolve(block: _Block, position: dict[str, int], label: str, lineno: int, w
 
 
 def _build_preorder(block: _Block, strict: bool) -> FinPreorder:
+    """OR each edge into the row of its first point, then close the rows.
+
+    Each point's bit is made once.  An unknown point stops the loop with a
+    ``KeyError``; the edges are then walked again with ``_resolve``, which
+    reports the first unknown point in document order.
+    """
     carrier, position = _index_points(block)
-    pairs = []
-    for a, b, lineno in block.edges:
-        pairs.append(
-            (
-                _resolve(block, position, a, lineno, f"edge {a} {b}"),
-                _resolve(block, position, b, lineno, f"edge {a} {b}"),
-            )
-        )
-    raw = Relation.from_pairs(carrier, carrier, pairs)
+    bit = {lab: 1 << i for lab, i in position.items()}
+    rows = [0] * carrier.size
+    try:
+        for a, b in zip(block.edge_from, block.edge_to):
+            rows[position[a]] |= bit[b]
+    except KeyError:
+        for a, b, lineno in zip(block.edge_from, block.edge_to, block.edge_lines):
+            _resolve(block, position, a, lineno, f"edge {a} {b}")
+            _resolve(block, position, b, lineno, f"edge {a} {b}")
+        raise
+    raw = Relation(carrier, carrier, tuple(rows))
     closed = reflexive_transitive_closure(raw)
     if strict and closed.rel != raw:
         for i, (have, want) in enumerate(zip(raw.rows, closed.rel.rows)):
@@ -175,8 +194,13 @@ def _build_space(block: _Block) -> AlexandroffSpace:
     for point, members, lineno in block.nbhds:
         x = _resolve(block, position, point, lineno, "nbhd")
         mask = 0
-        for member in members:
-            mask |= 1 << _resolve(block, position, member, lineno, f"nbhd of {point}")
+        try:
+            for member in members:
+                mask |= 1 << position[member]
+        except KeyError:
+            for member in members:
+                _resolve(block, position, member, lineno, f"nbhd of {point}")
+            raise
         nbhds[x] = mask
     try:
         return AlexandroffSpace(carrier, tuple(nbhds))
@@ -233,27 +257,49 @@ def _build_morphism(block: _Block, doc: Document) -> PreordMorphism:
 
 
 def loads(text: str, strict: bool = False) -> Document:
-    """Parse document text; applies closure to edge lists unless strict."""
-    doc = Document()
+    """Parse document text; applies closure to edge lists unless strict.
+
+    One pass over the lines collects each block's lines and reports every
+    syntax error; the objects, spaces and then morphisms are built after it,
+    in document order.  ``edge`` is tested first since it is almost every
+    line of a large document, and only lines holding ``#`` are cut at it.
+    """
+    numbered = enumerate(text.splitlines(), 1)
+    for lineno, raw in numbered:
+        toks = raw.split("#", 1)[0].split()
+        if not toks:
+            continue
+        if toks[0] != "preord" or len(toks) != 2:
+            raise DocumentError("expected version header 'preord 1'", lineno)
+        if toks[1] != str(FORMAT_VERSION):
+            raise DocumentError(f"unsupported format version {toks[1]!r}", lineno)
+        break
+    else:
+        raise DocumentError("empty document: missing version header 'preord 1'")
     blocks: list[_Block] = []
     current: _Block | None = None
-    version_seen = False
-    for lineno, toks in _tokenize(text):
-        kw = toks[0]
-        if not version_seen:
-            if kw != "preord" or len(toks) != 2:
-                raise DocumentError("expected version header 'preord 1'", lineno)
-            if toks[1] != str(FORMAT_VERSION):
-                raise DocumentError(
-                    f"unsupported format version {toks[1]!r}", lineno
-                )
-            version_seen = True
+    obj: _Block | None = None  # the current block when it is an object
+    for lineno, raw in numbered:
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        toks = raw.split()
+        if not toks:
             continue
-        if kw in ("object", "space"):
+        kw = toks[0]
+        if kw == "edge":
+            if obj is None:
+                raise DocumentError("'edge' outside an object block", lineno)
+            if len(toks) != 3:
+                raise DocumentError("'edge' takes exactly two points", lineno)
+            obj.edge_from.append(toks[1])
+            obj.edge_to.append(toks[2])
+            obj.edge_lines.append(lineno)
+        elif kw in ("object", "space"):
             if len(toks) != 2:
                 raise DocumentError(f"'{kw}' takes exactly one name", lineno)
             current = _Block(kw, toks[1], lineno)
             blocks.append(current)
+            obj = current if kw == "object" else None
         elif kw == "morphism":
             if len(toks) != 4:
                 raise DocumentError(
@@ -263,18 +309,13 @@ def loads(text: str, strict: bool = False) -> Document:
             current = _Block(kw, toks[1], lineno)
             current.ends = (toks[2], toks[3])
             blocks.append(current)
+            obj = None
         elif kw == "points":
             if current is None or current.kind not in ("object", "space"):
                 raise DocumentError("'points' outside an object or space block", lineno)
             for lab in toks[1:]:
                 current.points.append(lab)
                 current.point_lines.setdefault(lab, lineno)
-        elif kw == "edge":
-            if current is None or current.kind != "object":
-                raise DocumentError("'edge' outside an object block", lineno)
-            if len(toks) != 3:
-                raise DocumentError("'edge' takes exactly two points", lineno)
-            current.edges.append((toks[1], toks[2], lineno))
         elif kw == "nbhd":
             if current is None or current.kind != "space":
                 raise DocumentError("'nbhd' outside a space block", lineno)
@@ -289,8 +330,7 @@ def loads(text: str, strict: bool = False) -> Document:
             current.sends.append((toks[1], toks[2], lineno))
         else:
             raise DocumentError(f"unknown keyword {kw!r}", lineno)
-    if not version_seen:
-        raise DocumentError("empty document: missing version header 'preord 1'")
+    doc = Document()
     for block in blocks:
         if block.kind == "object":
             doc.add_preorder(block.name, _build_preorder(block, strict))
@@ -310,32 +350,44 @@ def load(source: str | os.PathLike | TextIO, strict: bool = False) -> Document:
         return loads(handle.read(), strict)
 
 
+def _labels(carrier: FinSet) -> list[str]:
+    return [carrier.label(i) for i in range(carrier.size)]
+
+
 def dumps(doc: Document) -> str:
-    """Canonical text: sorted names, index-ordered points, sorted edges."""
+    """Canonical text: sorted names, index-ordered points, sorted edges.
+
+    Each carrier's labels are looked up once; an object's edges are written
+    row by row, one line per set bit, which is the order of sorted pairs.
+    """
     out = [f"preord {FORMAT_VERSION}", ""]
     for name in sorted(doc.preorders):
         p = doc.preorders[name]
+        labels = _labels(p.carrier)
         out.append(f"object {name}")
-        out.append(("  points " + " ".join(p.carrier.label(i) for i in range(p.size))).rstrip())
-        for i, j in p.rel.pairs():
-            out.append(f"  edge {p.carrier.label(i)} {p.carrier.label(j)}")
+        out.append(("  points " + " ".join(labels)).rstrip())
+        for i, row in enumerate(p.rel.rows):
+            head = f"  edge {labels[i]} "
+            out += [head + labels[j] for j in _bits(row)]
         out.append("")
     for name in sorted(doc.spaces):
         s = doc.spaces[name]
+        labels = _labels(s.carrier)
         out.append(f"space {name}")
-        out.append(("  points " + " ".join(s.carrier.label(i) for i in range(s.size))).rstrip())
-        for x in range(s.size):
-            members = " ".join(s.carrier.label(y) for y in _bits(s.min_nbhd[x]))
-            out.append(f"  nbhd {s.carrier.label(x)} {members}")
+        out.append(("  points " + " ".join(labels)).rstrip())
+        for x, nbhd in enumerate(s.min_nbhd):
+            members = " ".join([labels[y] for y in _bits(nbhd)])
+            out.append(f"  nbhd {labels[x]} {members}")
         out.append("")
     for name in sorted(doc.morphisms):
         f = doc.morphisms[name]
         src_name, dst_name = doc.morphism_ends[name]
+        dst_labels = _labels(f.dst.carrier)
         out.append(f"morphism {name} {src_name} {dst_name}")
-        for a in range(f.src.size):
-            out.append(
-                f"  send {f.src.carrier.label(a)} {f.dst.carrier.label(f(a))}"
-            )
+        out += [
+            f"  send {a} {dst_labels[b]}"
+            for a, b in zip(_labels(f.src.carrier), f.map.values)
+        ]
         out.append("")
     return "\n".join(out)
 

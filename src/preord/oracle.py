@@ -41,6 +41,7 @@ __all__ = [
     "compose_relations_slow",
     "or_rows_by_bits",
     "transpose_by_bits",
+    "dumps_by_pairs",
     "closure_slow",
     "transitive_by_pairs",
     "monotone_by_pairs",
@@ -130,6 +131,35 @@ def transpose_by_bits(rows, width: int) -> tuple[int, ...]:
         for j in _bits(row):
             cols[j] |= 1 << i
     return tuple(cols)
+
+
+def dumps_by_pairs(doc) -> str:
+    """Document text written pair by pair, each label looked up through its
+    carrier: the slow counterpart of the row-wise ``docio.dumps``."""
+    out = ["preord 1", ""]
+    for name in sorted(doc.preorders):
+        p = doc.preorders[name]
+        out.append(f"object {name}")
+        out.append(("  points " + " ".join(p.carrier.label(i) for i in range(p.size))).rstrip())
+        for i, j in p.rel.pairs():
+            out.append(f"  edge {p.carrier.label(i)} {p.carrier.label(j)}")
+        out.append("")
+    for name in sorted(doc.spaces):
+        s = doc.spaces[name]
+        out.append(f"space {name}")
+        out.append(("  points " + " ".join(s.carrier.label(i) for i in range(s.size))).rstrip())
+        for x in range(s.size):
+            members = " ".join(s.carrier.label(y) for y in _bits(s.min_nbhd[x]))
+            out.append(f"  nbhd {s.carrier.label(x)} {members}")
+        out.append("")
+    for name in sorted(doc.morphisms):
+        f = doc.morphisms[name]
+        src_name, dst_name = doc.morphism_ends[name]
+        out.append(f"morphism {name} {src_name} {dst_name}")
+        for a in range(f.src.size):
+            out.append(f"  send {f.src.carrier.label(a)} {f.dst.carrier.label(f(a))}")
+        out.append("")
+    return "\n".join(out)
 
 
 def _kind_accepts(rows: list[int], n: int, kind: str) -> bool:

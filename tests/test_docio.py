@@ -1,13 +1,22 @@
 import io
+import random
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, example, given
 
+from preord import oracle
 from preord.alexandroff import preorder_to_space
 from preord.docio import Document, DocumentError, dumps, load, loads, save
 from preord.pretorsion import reflect
-from preord.relations import FinPreorder, FinSet, identity_morphism
+from preord.relations import (
+    FinPreorder,
+    FinSet,
+    PreordMorphism,
+    Relation,
+    identity_morphism,
+    reflexive_transitive_closure,
+)
 
 RUNNING = """\
 preord 1
@@ -37,6 +46,84 @@ morphism f P Q
   send b x
   send c y
 """
+
+
+HEAD = "preord 1\n"
+OBJ = HEAD + "object P\n  points a b\n"
+TWO = OBJ + "object Q\n  points x y\n  edge x y\n"
+
+# (text, strict, the exact message, or None for a document that loads)
+ERRORS = {
+    "empty": ("", False, "empty document: missing version header 'preord 1'"),
+    "blank-and-comment-only": ("# nothing\n\n", False, "empty document: missing version header 'preord 1'"),
+    "missing-version": ("object P\n  points a\n", False, "line 1: expected version header 'preord 1'"),
+    "version-arity": ("preord 1 2\n", False, "line 1: expected version header 'preord 1'"),
+    "unsupported-version": ("# c\npreord 9\n", False, "line 2: unsupported format version '9'"),
+    "unknown-keyword": (OBJ + "  edges a b\n", False, "line 4: unknown keyword 'edges'"),
+    "edge-before-object": (HEAD + "edge a b\n", False, "line 2: 'edge' outside an object block"),
+    "edge-in-space": (HEAD + "space S\n  points a\n  edge a a\n", False, "line 4: 'edge' outside an object block"),
+    "edge-one-point": (OBJ + "  edge a\n", False, "line 4: 'edge' takes exactly two points"),
+    "edge-three-points": (OBJ + "  edge a b a\n", False, "line 4: 'edge' takes exactly two points"),
+    "edge-unknown-first": (OBJ + "  edge a a\n  edge z b\n", False, "line 5: unknown point 'z' in edge z b of object 'P'"),
+    "edge-unknown-second": (OBJ + "  edge a z\n", False, "line 4: unknown point 'z' in edge a z of object 'P'"),
+    "edge-both-unknown": (OBJ + "  edge y z\n", False, "line 4: unknown point 'y' in edge y z of object 'P'"),
+    "edge-unknown-in-second-object": (
+        OBJ + "  edge a b\nobject R\n  points c\n  edge c d\n", False,
+        "line 7: unknown point 'd' in edge c d of object 'R'",
+    ),
+    "points-after-edge": (HEAD + "object P\n  points a\n  edge a b\n  points b\n", False, None),
+    "syntax-after-unknown-point": (OBJ + "  edge a z\nobject R\n  nonsense\n", False, "line 6: unknown keyword 'nonsense'"),
+    "duplicate-points": (HEAD + "object P\n  points a b\n  points c a\n", False, "line 3: duplicate point 'a' in object 'P'"),
+    "duplicate-object": (OBJ + "space P\n  points a\n", False, "duplicate name 'P'"),
+    "comment-inside-edge": (OBJ + "  edge a # b\n", False, "line 4: 'edge' takes exactly two points"),
+    "comment-after-edge": (OBJ + "  edge a b # c\n", False, None),
+    "object-arity": (HEAD + "object P Q\n", False, "line 2: 'object' takes exactly one name"),
+    "points-outside": (HEAD + "points a\n", False, "line 2: 'points' outside an object or space block"),
+    "strict-missing-reflexive": (OBJ + "  edge a b\n", True, "line 2: object 'P' is not closed: missing edge a a"),
+    "strict-missing-transitive": (
+        HEAD + "object P\n  points a b c\n  edge a a\n  edge b b\n  edge c c\n  edge a b\n  edge b c\n", True,
+        "line 2: object 'P' is not closed: missing edge a c",
+    ),
+    "nbhd-outside-space": (OBJ + "  nbhd a a\n", False, "line 4: 'nbhd' outside a space block"),
+    "nbhd-no-point": (HEAD + "space S\n  points x y\n  nbhd\n", False, "line 4: 'nbhd' takes a point and its members"),
+    "nbhd-unknown-point": (HEAD + "space S\n  points x y\n  nbhd z x\n", False, "line 4: unknown point 'z' in nbhd of space 'S'"),
+    "nbhd-unknown-member": (
+        HEAD + "space S\n  points x y\n  nbhd y x w\n", False, "line 4: unknown point 'w' in nbhd of y of space 'S'",
+    ),
+    "space-not-alexandroff": (
+        HEAD + "space S\n  points x y\n  nbhd x y\n", False,
+        "line 2: space 'S' is not Alexandroff: point 0 is missing from its own neighborhood",
+    ),
+    "morphism-arity": (TWO + "morphism f P\n", False, "line 7: 'morphism' takes a name, a source object and a target object"),
+    "send-outside-morphism": (OBJ + "  send a b\n", False, "line 4: 'send' outside a morphism block"),
+    "send-arity": (TWO + "morphism f P Q\n  send a\n", False, "line 8: 'send' takes exactly two points"),
+    "send-unknown-object": (TWO + "morphism f P Z\n  send a x\n", False, "line 7: morphism 'f' references unknown object 'Z'"),
+    "send-unknown-source-point": (TWO + "morphism f P Q\n  send c x\n", False, "line 8: unknown point 'c' in send of morphism 'f'"),
+    "send-unknown-target-point": (TWO + "morphism f P Q\n  send a z\n", False, "line 8: unknown point 'z' in send of morphism 'f'"),
+    "send-twice": (
+        TWO + "morphism f P Q\n  send a x\n  send b y\n  send a y\n", False, "line 10: point 'a' is sent twice in morphism 'f'",
+    ),
+    "send-missing": (TWO + "morphism f P Q\n  send b y\n", False, "line 7: morphism 'f' does not send point 'a'"),
+    "send-not-monotone": (
+        TWO + "morphism f Q Q\n  send x y\n  send y x\n", False,
+        "line 7: morphism 'f' is not monotone: not monotone: (0, 1) related but (1, 0) is not",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ERRORS)
+def test_error_messages_and_line_numbers(case):
+    """Each message, line number included, as the per-pair loader gave it:
+    a syntax error anywhere is reported before any unknown point, the first
+    unknown point of an edge is the one named, and a block's ``points`` may
+    follow its edges."""
+    text, strict, message = ERRORS[case]
+    if message is None:
+        assert loads(text, strict).preorders["P"].leq(0, 1)
+        return
+    with pytest.raises(DocumentError) as caught:
+        loads(text, strict)
+    assert str(caught.value) == message
 
 
 class TestLoad:
@@ -173,6 +260,26 @@ class TestRoundTrip:
         save(loads(RUNNING), buffer)
         assert buffer.getvalue().startswith("preord 1")
 
+    def test_morphism_ends_must_be_added_first(self):
+        u = reflect(FinPreorder.chain(2))[1]
+        doc = Document()
+        doc.add_preorder("P", u.src)
+        with pytest.raises(DocumentError, match="morphism 'u' references unknown object 'Q'"):
+            doc.add_morphism("u", u, "P", "Q")
+        assert doc.morphisms == {}
+
+    def test_morphism_ends_must_be_its_objects(self):
+        u = reflect(FinPreorder.chain(2))[1]
+        doc = Document()
+        doc.add_preorder("P", FinPreorder.chain(3))
+        doc.add_preorder("Q", u.dst)
+        with pytest.raises(DocumentError, match="object 'P' is not the source of morphism 'u'"):
+            doc.add_morphism("u", u, "P", "Q")
+        doc.add_preorder("R", u.src)
+        with pytest.raises(DocumentError, match="object 'P' is not the target of morphism 'u'"):
+            doc.add_morphism("u", u, "R", "P")
+        assert doc.morphisms == {}
+
     def test_empty_object_round_trip(self):
         doc = Document()
         doc.add_preorder("E", FinPreorder.discrete(0))
@@ -221,3 +328,111 @@ class TestLabels:
     def test_names_documents_cannot_carry_are_rejected(self, name):
         with pytest.raises(DocumentError, match="printable token"):
             Document().add_preorder(name, FinPreorder.discrete(1))
+
+
+def _random_labels(rng, n):
+    """Default labels, explicit tokens, or a shuffle of the default ones."""
+    kind = rng.choice(["default", "tokens", "shuffled"])
+    if kind == "default":
+        return None
+    if kind == "tokens":
+        return tuple(rng.choice(["p", "é", 'q"', "b\\"]) + str(i) for i in range(n))
+    labels = [str(i) for i in range(n)]
+    rng.shuffle(labels)
+    return tuple(labels)
+
+
+def _random_document(rng):
+    """Preorders up to 60 points (some empty), their spaces, random monotone
+    maps between them, and reflection units."""
+    doc = Document()
+    objects = []
+    for k in range(rng.randint(1, 4)):
+        n = 0 if rng.random() < 0.15 else rng.randint(1, 60)
+        p = oracle.random_preorder(rng, n, _random_labels(rng, n), rng.choice([0.5, 1.2, 3.0]))
+        doc.add_preorder(f"P{k}", p)
+        objects.append((f"P{k}", p))
+        if rng.random() < 0.5:
+            doc.add_space(f"S{k}", preorder_to_space(p))
+    for k in range(rng.randint(0, 4)):
+        (src_name, p), (dst_name, q) = rng.choice(objects), rng.choice(objects)
+        mapping = oracle.random_monotone_map(rng, p, q)
+        if mapping is not None:
+            doc.add_morphism(f"f{k}", PreordMorphism(p, q, mapping), src_name, dst_name)
+    name, p = rng.choice(objects)
+    poset, unit = reflect(p)
+    doc.add_preorder(f"{name}.quotient", poset)
+    doc.add_morphism(f"{name}.unit", unit, name, f"{name}.quotient")
+    return doc
+
+
+def _edge_pairs(text):
+    """The edge pairs of each object of ``text``, read naively."""
+    points, edges, name = {}, {}, None
+    for line in text.splitlines():
+        toks = line.split("#")[0].split()
+        if toks[:1] == ["object"]:
+            name = toks[1]
+            points[name], edges[name] = [], []
+        elif toks[:1] in (["space"], ["morphism"]):
+            name = None
+        elif toks[:1] == ["points"] and name is not None:
+            points[name] += toks[1:]
+        elif toks[:1] == ["edge"]:
+            edges[name].append(toks[1:])
+    return {
+        name: [(points[name].index(a), points[name].index(b)) for a, b in edges[name]]
+        for name in edges
+    }
+
+
+def _generator_text(rng, doc, closed):
+    """Each object of ``doc`` as an edge list in random order, with its
+    ``points`` line anywhere in the block and some comments: its closed
+    pairs, or random generators."""
+    lines = ["preord 1"]
+    for name, p in doc.preorders.items():
+        labels = [p.carrier.label(i) for i in range(p.size)]
+        if closed:
+            pairs = list(p.rel.pairs())
+            rng.shuffle(pairs)
+        else:
+            count = rng.randint(0, 2 * p.size) if p.size else 0
+            pairs = [(rng.randrange(p.size), rng.randrange(p.size)) for _ in range(count)]
+        block = [f"  edge {labels[i]} {labels[j]}" + rng.choice(["", " # note"]) for i, j in pairs]
+        block.insert(rng.randint(0, len(block)), "  points " + " ".join(labels))
+        lines += [f"object {name}", *block, ""]
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_documents_agree_with_the_per_pair_oracle(seed):
+    """The row-wise writer agrees byte for byte with the per-pair one, and
+    every object loaded, in both modes, is the closure of its edge pairs."""
+    rng = random.Random(seed)
+    doc = _random_document(rng)
+    text = dumps(doc)
+    assert text == oracle.dumps_by_pairs(doc)
+    for strict in (False, True):
+        again = loads(text, strict)
+        assert again == doc
+        for name, pairs in _edge_pairs(text).items():
+            p = again.preorders[name]
+            assert p == reflexive_transitive_closure(Relation.from_pairs(p.carrier, p.carrier, pairs))
+
+    for closed in (True, False):
+        generated = _generator_text(rng, doc, closed)
+        loaded = loads(generated)
+        raw = {}
+        for name, pairs in _edge_pairs(generated).items():
+            p = loaded.preorders[name]
+            raw[name] = Relation.from_pairs(p.carrier, p.carrier, pairs)
+            assert p == reflexive_transitive_closure(raw[name])
+        if closed:
+            assert loaded.preorders == doc.preorders
+        if all(p.rel == raw[name] for name, p in loaded.preorders.items()):
+            assert loads(generated, strict=True) == loaded
+        else:
+            assert not closed
+            with pytest.raises(DocumentError, match="is not closed: missing edge"):
+                loads(generated, strict=True)
