@@ -45,11 +45,8 @@ from .factorization import (
     verify_stable_units,
 )
 from .oracle import (
-    DEFAULT_CONFIG,
     EnumerationCapError,
-    EnumerationConfig,
     brute_force_in_N,
-    brute_force_universal,
     enumerate_morphisms,
     enumerate_preorders,
 )

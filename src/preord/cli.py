@@ -46,11 +46,13 @@ def _pick_morphism(doc: Document, name: str):
 
 
 def _emit(text: str, out_path: str | None) -> None:
+    """Write ``text``, ending in a newline, to ``out_path`` or stdout."""
+    text = text if text.endswith("\n") else text + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
 
 
 def cmd_reflect(args) -> int:
@@ -124,15 +126,7 @@ def cmd_classify(args) -> int:
     src_name, dst_name = doc.morphism_ends[args.morphism]
     flags = fct.classify(f)
     lines = [f"# classification of {args.morphism} : {src_name} -> {dst_name}"]
-    for flag in (
-        "fully_faithful",
-        "regular_epi",
-        "in_E",
-        "in_M",
-        "in_E_bar",
-        "in_M_star",
-        "effective_descent",
-    ):
+    for flag in fct._FLAG_CHECKS:
         value = getattr(flags, flag)
         line = f"{flag}: {str(value).lower()}"
         if not value:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from typing import Iterator
 
 from .relations import (
@@ -29,15 +28,17 @@ from .relations import (
 
 __all__ = [
     "EnumerationCapError",
-    "EnumerationConfig",
-    "DEFAULT_CONFIG",
     "HARD_ENUMERATION_CAP",
+    "PROBE_CAP",
     "enumerate_preorders",
     "enumerate_preorders_by_closure",
     "enumerate_morphisms",
     "enumerate_set_maps",
     "brute_force_in_N",
-    "brute_force_universal",
+    "universal_n_kernel",
+    "universal_n_cokernel",
+    "universal_pullback",
+    "universal_orthogonality",
     "compose_relations_slow",
     "or_rows_by_bits",
     "transpose_by_bits",
@@ -53,44 +54,25 @@ __all__ = [
     "random_core_refinement",
 ]
 
+# Enumerators refuse larger carriers: the relation count grows as 2**(n*n).
 HARD_ENUMERATION_CAP = 4
+# Universal properties are quantified over every preorder up to this size.
+PROBE_CAP = 3
+# Open-set enumeration walks all 2**n subsets of the carrier.
+OPEN_SET_CAP = 12
+# Tries per strategy of ``random_monotone_map`` before its constant fallback.
+MONOTONE_MAP_ATTEMPTS = 50
 
 
 class EnumerationCapError(ValueError):
     """Raised when an exhaustive sweep is asked to exceed its carrier cap."""
 
 
-@dataclass(frozen=True)
-class EnumerationConfig:
-    """Bounds and seed for exhaustive and randomized generation.
-
-    ``max_carrier`` is an explicit bound, never silent: enumerators refuse
-    larger carriers because the relation count grows as ``2**(n*n)``.
-    """
-
-    max_carrier: int = HARD_ENUMERATION_CAP
-    kind: str = "preorder"
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.max_carrier <= HARD_ENUMERATION_CAP:
-            raise ValueError(
-                f"max_carrier must lie in 0..{HARD_ENUMERATION_CAP}"
-            )
-        if self.kind not in ("preorder", "poset", "equivalence"):
-            raise ValueError(f"unknown predicate filter {self.kind!r}")
-
-
-DEFAULT_CONFIG = EnumerationConfig()
-
-
-def _check_cap(n: int, config: EnumerationConfig | None) -> EnumerationConfig:
-    cfg = config or DEFAULT_CONFIG
-    if n > cfg.max_carrier:
+def _check_cap(n: int) -> None:
+    if n > HARD_ENUMERATION_CAP:
         raise EnumerationCapError(
-            f"carrier {n} exceeds the enumeration cap {cfg.max_carrier}"
+            f"carrier {n} exceeds the enumeration cap {HARD_ENUMERATION_CAP}"
         )
-    return cfg
 
 
 def transitive_by_pairs(rows) -> bool:
@@ -162,25 +144,12 @@ def dumps_by_pairs(doc) -> str:
     return "\n".join(out)
 
 
-def _kind_accepts(rows: list[int], n: int, kind: str) -> bool:
-    if kind == "preorder":
-        return True
-    cols = transpose_by_bits(rows, n)
-    if kind == "equivalence":
-        return tuple(rows) == cols
-    return all(rows[i] & cols[i] & ~(1 << i) == 0 for i in range(n))
-
-
-def enumerate_preorders(
-    n: int, config: EnumerationConfig | None = None, kind: str | None = None
-) -> Iterator[FinPreorder]:
+def enumerate_preorders(n: int) -> Iterator[FinPreorder]:
     """All reflexive transitive relations on ``n`` labeled points.
 
-    Filters every candidate off-diagonal bit pattern by transitivity;
-    ``kind`` further restricts to partial orders or equivalence relations.
+    Filters every candidate off-diagonal bit pattern by transitivity.
     """
-    cfg = _check_cap(n, config)
-    kind = kind or cfg.kind
+    _check_cap(n)
     carrier = FinSet(n)
     positions = [(i, j) for i in range(n) for j in range(n) if i != j]
     for combo in range(1 << len(positions)):
@@ -190,17 +159,12 @@ def enumerate_preorders(
                 rows[i] |= 1 << j
         if not transitive_by_pairs(rows):
             continue
-        if not _kind_accepts(rows, n, kind):
-            continue
         yield FinPreorder(carrier, Relation(carrier, carrier, tuple(rows)))
 
 
-def enumerate_preorders_by_closure(
-    n: int, config: EnumerationConfig | None = None, kind: str | None = None
-) -> list[FinPreorder]:
+def enumerate_preorders_by_closure(n: int) -> list[FinPreorder]:
     """Independent generation method: close every edge set, deduplicate."""
-    cfg = _check_cap(n, config)
-    kind = kind or cfg.kind
+    _check_cap(n)
     carrier = FinSet(n)
     positions = [(i, j) for i in range(n) for j in range(n) if i != j]
     seen: set[tuple[int, ...]] = set()
@@ -213,17 +177,14 @@ def enumerate_preorders_by_closure(
         if closed.rel.rows in seen:
             continue
         seen.add(closed.rel.rows)
-        if _kind_accepts(list(closed.rel.rows), n, kind):
-            out.append(closed)
+        out.append(closed)
     out.sort(key=lambda p: p.rel.rows)
     return out
 
 
-def enumerate_morphisms(
-    p: FinPreorder, q: FinPreorder, config: EnumerationConfig | None = None
-) -> Iterator[PreordMorphism]:
+def enumerate_morphisms(p: FinPreorder, q: FinPreorder) -> Iterator[PreordMorphism]:
     """All monotone maps from ``p`` to ``q``, by pruned backtracking."""
-    _check_cap(max(p.size, q.size), config)
+    _check_cap(max(p.size, q.size))
     n, m = p.size, q.size
     if n == 0:
         yield PreordMorphism(p, q, SetMap(p.carrier, q.carrier, ()))
@@ -265,9 +226,7 @@ def enumerate_set_maps(dom: FinSet, cod: FinSet) -> Iterator[SetMap]:
         yield SetMap(dom, cod, values)
 
 
-def brute_force_in_N(
-    f: PreordMorphism, config: EnumerationConfig | None = None
-) -> bool:
+def brute_force_in_N(f: PreordMorphism) -> bool:
     """Search all factorizations of ``f`` through discrete objects.
 
     Candidate middles range over sizes up to the source carrier; a quotient
@@ -277,7 +236,7 @@ def brute_force_in_N(
     n = f.src.size
     if n == 0:
         return True
-    _check_cap(n, config)
+    _check_cap(n)
     rows = f.src.rel.rows
     fvalues = f.map.values
     for k in range(1, n + 1):
@@ -297,54 +256,29 @@ def brute_force_in_N(
     return False
 
 
-def _probes(
-    probe_cap: int, config: EnumerationConfig | None
-) -> Iterator[FinPreorder]:
-    for size in range(probe_cap + 1):
-        yield from enumerate_preorders(size, config, kind="preorder")
+# The ``universal_*`` checks quantify a universal property over every probe
+# object up to ``PROBE_CAP`` points.  Each returns a verdict plus a
+# counterexample description when it fails.
 
 
-def brute_force_universal(
-    kind: str,
-    *,
-    probe_cap: int = 3,
-    config: EnumerationConfig | None = None,
-    **data,
+def _probes() -> Iterator[FinPreorder]:
+    for size in range(PROBE_CAP + 1):
+        yield from enumerate_preorders(size)
+
+
+def universal_n_kernel(
+    f: PreordMorphism, K: FinPreorder, k: PreordMorphism
 ) -> tuple[bool, str | None]:
-    """Quantify a universal property over all probe objects up to the cap.
-
-    Kinds: ``n-kernel`` (data ``f``, ``K``, ``k``), ``n-cokernel`` (data
-    ``k``, ``p``), ``pullback`` (data ``f``, ``g``, ``obj``, ``p1``,
-    ``p2``), ``orthogonality`` (data ``e``, ``m``, ``u``, ``v``).
-    Returns a verdict plus a counterexample description when it fails.
-    """
-    checks = {
-        "n-kernel": _universal_n_kernel,
-        "n-cokernel": _universal_n_cokernel,
-        "pullback": _universal_pullback,
-        "orthogonality": _universal_orthogonality,
-    }
-    if kind not in checks:
-        raise ValueError(f"unknown universal property {kind!r}")
-    return checks[kind](probe_cap=probe_cap, config=config, **data)
-
-
-def _universal_n_kernel(
-    f: PreordMorphism,
-    K: FinPreorder,
-    k: PreordMorphism,
-    probe_cap: int,
-    config: EnumerationConfig | None,
-) -> tuple[bool, str | None]:
-    if not brute_force_in_N(compose_morphisms(f, k), config):
+    """Whether ``k: K -> f.src`` is an n-kernel of ``f``."""
+    if not brute_force_in_N(compose_morphisms(f, k)):
         return False, "composite f∘k does not factor through a discrete object"
-    for probe in _probes(probe_cap, config):
-        for lam in enumerate_morphisms(probe, f.src, config):
-            if not brute_force_in_N(compose_morphisms(f, lam), config):
+    for probe in _probes():
+        for lam in enumerate_morphisms(probe, f.src):
+            if not brute_force_in_N(compose_morphisms(f, lam)):
                 continue
             count = sum(
                 1
-                for lam2 in enumerate_morphisms(probe, K, config)
+                for lam2 in enumerate_morphisms(probe, K)
                 if compose_morphisms(k, lam2).map == lam.map
             )
             if count != 1:
@@ -355,21 +289,19 @@ def _universal_n_kernel(
     return True, None
 
 
-def _universal_n_cokernel(
-    k: PreordMorphism,
-    p: PreordMorphism,
-    probe_cap: int,
-    config: EnumerationConfig | None,
+def universal_n_cokernel(
+    k: PreordMorphism, p: PreordMorphism
 ) -> tuple[bool, str | None]:
-    if not brute_force_in_N(compose_morphisms(p, k), config):
+    """Whether ``p`` is an n-cokernel of ``k``."""
+    if not brute_force_in_N(compose_morphisms(p, k)):
         return False, "composite p∘k does not factor through a discrete object"
-    for probe in _probes(probe_cap, config):
-        for g in enumerate_morphisms(k.dst, probe, config):
-            if not brute_force_in_N(compose_morphisms(g, k), config):
+    for probe in _probes():
+        for g in enumerate_morphisms(k.dst, probe):
+            if not brute_force_in_N(compose_morphisms(g, k)):
                 continue
             count = sum(
                 1
-                for alpha in enumerate_morphisms(p.dst, probe, config)
+                for alpha in enumerate_morphisms(p.dst, probe)
                 if compose_morphisms(alpha, p).map == g.map
             )
             if count != 1:
@@ -380,25 +312,25 @@ def _universal_n_cokernel(
     return True, None
 
 
-def _universal_pullback(
+def universal_pullback(
     f: PreordMorphism,
     g: PreordMorphism,
     obj: FinPreorder,
     p1: PreordMorphism,
     p2: PreordMorphism,
-    probe_cap: int,
-    config: EnumerationConfig | None,
 ) -> tuple[bool, str | None]:
+    """Whether ``obj`` with projections ``p1``, ``p2`` is a pullback of ``f``
+    and ``g``."""
     if compose_morphisms(f, p1).map != compose_morphisms(g, p2).map:
         return False, "projection square does not commute"
-    for probe in _probes(probe_cap, config):
-        for u in enumerate_morphisms(probe, f.src, config):
-            for v in enumerate_morphisms(probe, g.src, config):
+    for probe in _probes():
+        for u in enumerate_morphisms(probe, f.src):
+            for v in enumerate_morphisms(probe, g.src):
                 if compose_morphisms(f, u).map != compose_morphisms(g, v).map:
                     continue
                 count = sum(
                     1
-                    for w in enumerate_morphisms(probe, obj, config)
+                    for w in enumerate_morphisms(probe, obj)
                     if compose_morphisms(p1, w).map == u.map
                     and compose_morphisms(p2, w).map == v.map
                 )
@@ -410,17 +342,14 @@ def _universal_pullback(
     return True, None
 
 
-def _universal_orthogonality(
-    e: PreordMorphism,
-    m: PreordMorphism,
-    u: PreordMorphism,
-    v: PreordMorphism,
-    probe_cap: int,
-    config: EnumerationConfig | None,
+def universal_orthogonality(
+    e: PreordMorphism, m: PreordMorphism, u: PreordMorphism, v: PreordMorphism
 ) -> tuple[bool, str | None]:
+    """Whether the square ``m∘u = v∘e`` has exactly one diagonal filler; no
+    probes are needed."""
     count = sum(
         1
-        for alpha in enumerate_morphisms(e.dst, m.src, config)
+        for alpha in enumerate_morphisms(e.dst, m.src)
         if compose_morphisms(alpha, e).map == u.map
         and compose_morphisms(m, alpha).map == v.map
     )
@@ -483,15 +412,15 @@ def reflect_by_quotient(p: FinPreorder):
     return Reflection(unit.dst, unit)
 
 
-def enumerate_open_sets(space, cap: int = 12) -> list[int]:
+def enumerate_open_sets(space) -> list[int]:
     """All open sets of an Alexandroff space as bit masks.
 
-    Exponential in the carrier; refuses carriers above ``cap``.
+    Exponential in the carrier; refuses carriers above ``OPEN_SET_CAP``.
     """
     n = space.carrier.size
-    if n > cap:
+    if n > OPEN_SET_CAP:
         raise ValueError(
-            f"open-set enumeration is exponential; carrier {n} exceeds cap {cap}"
+            f"open-set enumeration is exponential; carrier {n} exceeds cap {OPEN_SET_CAP}"
         )
     opens = []
     for mask in range(1 << n):
@@ -518,7 +447,7 @@ def random_preorder(
 
 
 def random_monotone_map(
-    rng: random.Random, p: FinPreorder, q: FinPreorder, attempts: int = 50
+    rng: random.Random, p: FinPreorder, q: FinPreorder
 ) -> SetMap | None:
     """A random monotone map, or ``None`` when the target is empty.
 
@@ -536,7 +465,7 @@ def random_monotone_map(
     prows = p.rel.rows
     qrows = q.rel.rows
 
-    for _ in range(attempts):
+    for _ in range(MONOTONE_MAP_ATTEMPTS):
         values = [0] * n
         for cls in p_classes:
             target_cls = q_classes[rng.randrange(len(q_classes))]
@@ -548,7 +477,7 @@ def random_monotone_map(
     order = sorted(range(n), key=lambda a: (-prows[a].bit_count(), a))
     full = (1 << m) - 1
     qcols = opposite(q.rel).rows
-    for _ in range(attempts):
+    for _ in range(MONOTONE_MAP_ATTEMPTS):
         values = [-1] * n
         ok = True
         for a in order:

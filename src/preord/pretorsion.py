@@ -227,7 +227,7 @@ def recompose(d: Decomposition) -> FinPreorder:
     return _built(FinPreorder, d.equiv.src, inverse_image(d.section_data, d.quotient_order.rel))
 
 
-def hom_is_trivial(t: FinPreorder, fp: FinPreorder, config=None) -> bool:
+def hom_is_trivial(t: FinPreorder, fp: FinPreorder) -> bool:
     """Exhaustively check that every monotone map from an equivalence-relation
     object to a partial order factors through a discrete object.
 
@@ -239,4 +239,4 @@ def hom_is_trivial(t: FinPreorder, fp: FinPreorder, config=None) -> bool:
         raise ValueError("second argument must be a partial order")
     from .oracle import enumerate_morphisms
 
-    return all(in_ideal_N(f) for f in enumerate_morphisms(t, fp, config))
+    return all(in_ideal_N(f) for f in enumerate_morphisms(t, fp))

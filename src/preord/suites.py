@@ -42,7 +42,6 @@ __all__ = [
     "suite_factorization",
     "suite_stable_units",
     "suite_alexandroff",
-    "run_suite",
 ]
 
 
@@ -81,17 +80,17 @@ class SuiteReport:
         return out
 
 
-def _objects(max_n: int, config=None) -> list[FinPreorder]:
+def _objects(max_n: int) -> list[FinPreorder]:
     out = []
     for n in range(max_n + 1):
-        out.extend(oracle.enumerate_preorders(n, config))
+        out.extend(oracle.enumerate_preorders(n))
     return out
 
 
-def _morphisms(objects, config=None):
+def _morphisms(objects):
     for p in objects:
         for q in objects:
-            yield from oracle.enumerate_morphisms(p, q, config)
+            yield from oracle.enumerate_morphisms(p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -138,33 +137,20 @@ def check_sym_core(p: FinPreorder) -> str | None:
     return None
 
 
-def check_canonical_sequence(p: FinPreorder, probe_cap: int = 3, config=None) -> str | None:
+def check_canonical_sequence(p: FinPreorder) -> str | None:
     seq = pre.canonical_sequence(p)
-    ok, why = oracle.brute_force_universal(
-        "n-kernel",
-        f=seq.free_part,
-        K=seq.torsion_part.src,
-        k=seq.torsion_part,
-        probe_cap=probe_cap,
-        config=config,
-    )
+    ok, why = oracle.universal_n_kernel(seq.free_part, seq.torsion_part.src, seq.torsion_part)
     if not ok:
         return f"kernel universal property fails: {why}"
-    ok, why = oracle.brute_force_universal(
-        "n-cokernel",
-        k=seq.torsion_part,
-        p=seq.free_part,
-        probe_cap=probe_cap,
-        config=config,
-    )
+    ok, why = oracle.universal_n_cokernel(seq.torsion_part, seq.free_part)
     if not ok:
         return f"cokernel universal property fails: {why}"
     return None
 
 
-def check_ideal_agreement(f: PreordMorphism, config=None) -> str | None:
+def check_ideal_agreement(f: PreordMorphism) -> str | None:
     fast = pre.in_ideal_N(f)
-    slow = oracle.brute_force_in_N(f, config)
+    slow = oracle.brute_force_in_N(f)
     if fast != slow:
         return f"pointwise ideal test says {fast}, factorization search says {slow}"
     if fast:
@@ -194,11 +180,9 @@ def check_decomposition_roundtrip(p: FinPreorder) -> str | None:
     return None
 
 
-def check_kernel_universal(f: PreordMorphism, probe_cap: int = 3, config=None) -> str | None:
+def check_kernel_universal(f: PreordMorphism) -> str | None:
     kern = pre.n_kernel(f)
-    ok, why = oracle.brute_force_universal(
-        "n-kernel", f=f, K=kern.K, k=kern.k, probe_cap=probe_cap, config=config
-    )
+    ok, why = oracle.universal_n_kernel(f, kern.K, kern.k)
     if not ok:
         return f"relative kernel universal property fails: {why}"
     return None
@@ -331,7 +315,6 @@ def check_orthogonality_square(
     v: PreordMorphism,
     expected: PreordMorphism | None = None,
     brute: bool = False,
-    config=None,
 ) -> str | None:
     try:
         alpha = fct.check_orthogonality(e, m, u, v)
@@ -340,9 +323,7 @@ def check_orthogonality_square(
     if expected is not None and alpha.map != expected.map:
         return "diagonal differs from the expected filler"
     if brute:
-        ok, why = oracle.brute_force_universal(
-            "orthogonality", e=e, m=m, u=u, v=v, config=config
-        )
+        ok, why = oracle.universal_orthogonality(e, m, u, v)
         if not ok:
             return f"enumeration disagrees: {why}"
     return None
@@ -408,9 +389,9 @@ def check_topology_predicates(p: FinPreorder) -> str | None:
     return None
 
 
-def check_min_nbhd_intersection(p: FinPreorder, cap: int = 12) -> str | None:
+def check_min_nbhd_intersection(p: FinPreorder) -> str | None:
     space = alx.preorder_to_space(p)
-    opens = oracle.enumerate_open_sets(space, cap)
+    opens = oracle.enumerate_open_sets(space)
     for x in range(space.size):
         meet_mask = (1 << space.size) - 1
         for mask in opens:
@@ -421,10 +402,8 @@ def check_min_nbhd_intersection(p: FinPreorder, cap: int = 12) -> str | None:
     return None
 
 
-def check_hom_continuity_sets(p: FinPreorder, q: FinPreorder, config=None) -> str | None:
-    monotone = {
-        m.map.values for m in oracle.enumerate_morphisms(p, q, config)
-    }
+def check_hom_continuity_sets(p: FinPreorder, q: FinPreorder) -> str | None:
+    monotone = {m.map.values for m in oracle.enumerate_morphisms(p, q)}
     sp, sq = alx.preorder_to_space(p), alx.preorder_to_space(q)
     opens = oracle.enumerate_open_sets(sq)
     continuous = set()
@@ -498,7 +477,6 @@ def _sweep(report: SuiteReport, name: str, instances, checker) -> None:
 
 def suite_pretorsion(
     max_n: int = 3,
-    probe_cap: int = 3,
     seed: int = 0,
     kernel_samples: int = 120,
 ) -> SuiteReport:
@@ -524,12 +502,7 @@ def suite_pretorsion(
         return None
 
     _sweep(report, "equivalence-to-poset homs are trivial", hom_pairs(), check_trivial)
-    _sweep(
-        report,
-        "canonical sequence universal properties",
-        objects,
-        lambda p: check_canonical_sequence(p, probe_cap),
-    )
+    _sweep(report, "canonical sequence universal properties", objects, check_canonical_sequence)
     _sweep(report, "symmetric core is an equivalence", objects, check_sym_core)
     _sweep(
         report,
@@ -543,12 +516,7 @@ def suite_pretorsion(
     _sweep(report, "decomposition round trip", objects, check_decomposition_roundtrip)
     small = [f for f in morphisms if max(f.src.size, f.dst.size) <= 2]
     sampled = rng.sample(morphisms, min(kernel_samples, len(morphisms)))
-    _sweep(
-        report,
-        "relative kernel universal property",
-        small + sampled,
-        lambda f: check_kernel_universal(f, probe_cap),
-    )
+    _sweep(report, "relative kernel universal property", small + sampled, check_kernel_universal)
     return report
 
 
@@ -787,11 +755,3 @@ SUITES = {
     "stable-units": suite_stable_units,
     "alexandroff": suite_alexandroff,
 }
-
-
-def run_suite(name: str, max_n: int = 3, seed: int | None = None) -> SuiteReport:
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    if seed is None:
-        seed = oracle.DEFAULT_CONFIG.seed
-    return SUITES[name](max_n=max_n, seed=seed)

@@ -82,7 +82,7 @@ def test_criterion_1_splitting_axioms():
     sequences_checked = 0
     for p in objects:
         sequences_checked += 1
-        if check_canonical_sequence(p, probe_cap=3) is not None:
+        if check_canonical_sequence(p) is not None:
             failures += 1
     elapsed = time.monotonic() - started
     _criterion(
@@ -202,3 +202,48 @@ def test_criterion_8_mutation_sensitivity():
         caught == len(mutations),
         f"{caught}/{len(mutations)} mutations detected",
     )
+
+
+# ``report.lines()`` of the three module fixtures, pinned so that a change to
+# any check's name, instance count or verdict shows up here.
+EXPECTED_REPORT_LINES = {
+    "alexandroff_report": [
+        "ok   round trips (exhaustive) [35 instances]",
+        "ok   round trips (random) [500 instances]",
+        "ok   monotone maps are exactly continuous maps [1225 instances]",
+        "ok   minimal neighborhoods are open intersections [35 instances]",
+        "ok   T0/partition dual tests (exhaustive) [35 instances]",
+        "ok   T0/partition dual tests (random) [500 instances]",
+        "ok   T0 reflection matches order reflection [35 instances]",
+        "ok   continuous classification matches order classification [11345 instances]",
+        "pass: suite alexandroff (8/8 checks)",
+    ],
+    "factorization_report": [
+        "ok   factorizations certify and compose [11345 instances]",
+        "ok   covering tests agree [11345 instances]",
+        "ok   inverted-map tests agree [11345 instances]",
+        "ok   surjective-fully-faithful tests agree [11345 instances]",
+        "ok   trivial-covering naturality square [11345 instances]",
+        "ok   pullback-mono criterion [619 instances]",
+        "ok   left class is pullback stable [437 instances]",
+        "ok   left class is pullback stable (random) [100 instances]",
+        "ok   poset-map pullbacks are trivial coverings [564 instances]",
+        "ok   orthogonality on canonical squares [11345 instances]",
+        "ok   light factorizations are unique up to comparison [11345 instances]",
+        "ok   orthogonality on random squares [189 instances]",
+        "ok   effective-descent covers (exhaustive) [35 instances]",
+        "ok   effective-descent covers (random) [500 instances]",
+        "ok   random factorizations certify and compose [1000 instances]",
+        "pass: suite factorization (15/15 checks)",
+    ],
+    "stable_units_report": [
+        "ok   stable units (exhaustive) [7359 instances]",
+        "ok   stable units (random) [1000 instances]",
+        "pass: suite stable-units (2/2 checks)",
+    ],
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(EXPECTED_REPORT_LINES))
+def test_suite_report_lines(fixture, request):
+    assert request.getfixturevalue(fixture).lines() == EXPECTED_REPORT_LINES[fixture]

@@ -236,8 +236,17 @@ class TestExport:
 class TestCheck:
     def test_small_suite_passes(self, capsys):
         assert main(["check", "--suite", "pretorsion", "--max-n", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "pass: suite pretorsion" in out
+        assert capsys.readouterr().out.splitlines() == [
+            "ok   equivalence-to-poset homs are trivial [20 instances]",
+            "ok   canonical sequence universal properties [6 instances]",
+            "ok   symmetric core is an equivalence [6 instances]",
+            "ok   reflection quotient properties [6 instances]",
+            "ok   unit naturality [69 instances]",
+            "ok   ideal membership agreement [69 instances]",
+            "ok   decomposition round trip [6 instances]",
+            "ok   relative kernel universal property [138 instances]",
+            "pass: suite pretorsion (8/8 checks)",
+        ]
 
     def test_empty_bound_checks_the_empty_preorder(self, capsys):
         assert main(["check", "--suite", "pretorsion", "--max-n", "0"]) == 0
@@ -286,6 +295,27 @@ class TestCheck:
         monkeypatch.setenv("PREORD_MAX_N", "abc")
         monkeypatch.setenv("PREORD_SEED", "abc")
         assert main(["check", "--suite", "stable-units", "--max-n", "1", "--seed", "0"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["reflect", "{running}"],
+    ["classify", "{morphism}", "-m", "f"],
+    ["factor", "{morphism}", "-m", "f", "--system", "reflective"],
+    ["factor", "{morphism}", "-m", "f", "--system", "monotone-light"],
+    ["cover", "{running}"],
+    ["sequence", "{running}"],
+    ["topology", "{running}"],
+    ["topology", "{running}", "--check", "t0"],
+    ["export", "--dot", "{running}"],
+])
+def test_out_file_holds_the_stdout_bytes(argv, running_file, morphism_file, tmp_path, capsys):
+    argv = [arg.format(running=running_file, morphism=morphism_file) for arg in argv]
+    code = main(argv)
+    stdout = capsys.readouterr().out
+    target = tmp_path / "out.txt"
+    assert main([*argv, "--out", str(target)]) == code
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == stdout.encode("utf-8")
 
 
 class TestErrors:

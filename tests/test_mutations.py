@@ -13,9 +13,9 @@ from preord.factorization import (
     is_in_M,
 )
 from preord.oracle import (
-    brute_force_universal,
     closure_slow,
     compose_relations_slow,
+    universal_pullback,
 )
 from preord.pretorsion import Reflection, reflect, reflect_morphism, sym_core
 from preord.relations import (
@@ -241,7 +241,7 @@ def test_mutation_pullback_dropping_element():
     codisc = FinPreorder.codiscrete(2)
     f, g = to_point(chain), to_point(codisc)
     obj, p1, p2 = corrupt_pullback(f, g)
-    ok, why = brute_force_universal("pullback", f=f, g=g, obj=obj, p1=p1, p2=p2)
+    ok, why = universal_pullback(f, g, obj, p1, p2)
     assert not ok
     assert "factors 0 times" in why
 

@@ -7,9 +7,7 @@ import strategies as sts
 from preord.factorization import monotone_light_factorization
 from preord.oracle import (
     EnumerationCapError,
-    EnumerationConfig,
     brute_force_in_N,
-    brute_force_universal,
     closure_slow,
     compose_relations_slow,
     enumerate_morphisms,
@@ -19,6 +17,10 @@ from preord.oracle import (
     random_morphism,
     random_preorder,
     reflect_by_quotient,
+    universal_n_cokernel,
+    universal_n_kernel,
+    universal_orthogonality,
+    universal_pullback,
 )
 from preord.pretorsion import canonical_sequence, in_ideal_N, n_kernel, reflect
 from preord.relations import (
@@ -51,9 +53,10 @@ class TestEnumeration:
     @pytest.mark.parametrize("n", sorted(EXPECTED_COUNTS))
     def test_counts_by_filtering(self, n):
         pres, posets, eqs = EXPECTED_COUNTS[n]
-        assert sum(1 for _ in enumerate_preorders(n)) == pres
-        assert sum(1 for _ in enumerate_preorders(n, kind="poset")) == posets
-        assert sum(1 for _ in enumerate_preorders(n, kind="equivalence")) == eqs
+        found = list(enumerate_preorders(n))
+        assert len(found) == pres
+        assert sum(1 for p in found if p.is_partial_order()) == posets
+        assert sum(1 for p in found if p.is_equivalence()) == eqs
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_methods_generate_identical_sets(self, n):
@@ -69,12 +72,6 @@ class TestEnumeration:
     def test_cap_is_enforced(self):
         with pytest.raises(EnumerationCapError):
             list(enumerate_preorders(5))
-        with pytest.raises(EnumerationCapError):
-            list(enumerate_preorders(3, EnumerationConfig(max_carrier=2)))
-
-    def test_config_rejects_huge_caps(self):
-        with pytest.raises(ValueError):
-            EnumerationConfig(max_carrier=9)
 
 
 class TestMorphismEnumeration:
@@ -111,11 +108,9 @@ class TestUniversalProperties:
     def test_canonical_sequence_passes(self):
         p = FinPreorder.from_edges(3, [(0, 1), (1, 0), (1, 2)])
         seq = canonical_sequence(p)
-        ok, why = brute_force_universal(
-            "n-kernel", f=seq.free_part, K=seq.torsion_part.src, k=seq.torsion_part
-        )
+        ok, why = universal_n_kernel(seq.free_part, seq.torsion_part.src, seq.torsion_part)
         assert ok, why
-        ok, why = brute_force_universal("n-cokernel", k=seq.torsion_part, p=seq.free_part)
+        ok, why = universal_n_cokernel(seq.torsion_part, seq.free_part)
         assert ok, why
 
     def test_corrupted_kernel_fails_with_counterexample(self):
@@ -127,7 +122,7 @@ class TestUniversalProperties:
         )
         damaged = FinPreorder(kern.K.carrier, damaged_rel)
         damaged_incl = PreordMorphism(damaged, f.src, kern.k.map)
-        ok, why = brute_force_universal("n-kernel", f=f, K=damaged, k=damaged_incl)
+        ok, why = universal_n_kernel(f, damaged, damaged_incl)
         assert not ok
         assert "factors 0 times" in why
 
@@ -136,22 +131,14 @@ class TestUniversalProperties:
         codisc = FinPreorder.codiscrete(2)
         f, g = to_point(chain), to_point(codisc)
         pb = preord_pullback(f, g)
-        ok, why = brute_force_universal(
-            "pullback", f=f, g=g, obj=pb.object, p1=pb.p1, p2=pb.p2
-        )
+        ok, why = universal_pullback(f, g, pb.object, pb.p1, pb.p2)
         assert ok, why
 
     def test_orthogonality_counts_diagonals(self):
         f = to_point(FinPreorder.codiscrete(2))
         light = monotone_light_factorization(f)
-        ok, why = brute_force_universal(
-            "orthogonality", e=light.e, m=light.m, u=light.e, v=light.m
-        )
+        ok, why = universal_orthogonality(light.e, light.m, light.e, light.m)
         assert ok, why
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown universal property"):
-            brute_force_universal("colimit")
 
 
 class TestSlowAgreements:

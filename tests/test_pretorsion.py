@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 import strategies as sts
 from preord import relations
-from preord.oracle import brute_force_universal, enumerate_morphisms
+from preord.oracle import enumerate_morphisms, universal_n_cokernel, universal_n_kernel
 from preord.pretorsion import (
     Decomposition,
     canonical_sequence,
@@ -222,13 +222,9 @@ class TestCanonicalSequence:
 
     def test_universal_properties_on_running_example(self):
         seq = canonical_sequence(running_example())
-        ok, why = brute_force_universal(
-            "n-kernel", f=seq.free_part, K=seq.torsion_part.src, k=seq.torsion_part
-        )
+        ok, why = universal_n_kernel(seq.free_part, seq.torsion_part.src, seq.torsion_part)
         assert ok, why
-        ok, why = brute_force_universal(
-            "n-cokernel", k=seq.torsion_part, p=seq.free_part
-        )
+        ok, why = universal_n_cokernel(seq.torsion_part, seq.free_part)
         assert ok, why
 
 

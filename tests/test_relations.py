@@ -367,9 +367,9 @@ class TestPullback:
 class TestPullbackUniversalProperty:
     def test_against_all_probes(self):
         from preord.oracle import (
-            brute_force_universal,
             enumerate_morphisms,
             enumerate_preorders,
+            universal_pullback,
         )
 
         rng = random.Random(3)
@@ -385,9 +385,7 @@ class TestPullbackUniversalProperty:
                             instances.append((f, g))
         for f, g in rng.sample(instances, 60):
             pb = preord_pullback(f, g)
-            ok, why = brute_force_universal(
-                "pullback", f=f, g=g, obj=pb.object, p1=pb.p1, p2=pb.p2, probe_cap=3
-            )
+            ok, why = universal_pullback(f, g, pb.object, pb.p1, pb.p2)
             assert ok, why
 
 
