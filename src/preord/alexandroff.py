@@ -103,10 +103,6 @@ def min_open(s: AlexandroffSpace, x: int) -> frozenset[int]:
     return frozenset(_bits(s.min_nbhd[x]))
 
 
-def _closure_masks(s: AlexandroffSpace) -> tuple[int, ...]:
-    return opposite(Relation(s.carrier, s.carrier, s.min_nbhd)).rows
-
-
 def closure_of_point(s: AlexandroffSpace, x: int) -> frozenset[int]:
     """The closure of the singleton ``{x}``: every point whose neighborhoods
     all contain ``x``."""
@@ -223,9 +219,9 @@ def _fibres_trivial(f: ContinuousMap) -> bool:
 
 def _specializations_lift(f: ContinuousMap) -> bool:
     """Every specialization in the target is the image of one in the source."""
-    src = Relation(f.src.carrier, f.src.carrier, _closure_masks(f.src))
-    covered = direct_image(f.map, src).rows
-    return all(cl & ~cov == 0 for cl, cov in zip(_closure_masks(f.dst), covered))
+    covered = direct_image(f.map, space_to_preorder(f.src).rel).rows
+    closures = space_to_preorder(f.dst).rel.rows
+    return all(cl & ~cov == 0 for cl, cov in zip(closures, covered))
 
 
 def classify_continuous(f: ContinuousMap) -> ContinuousClassification:

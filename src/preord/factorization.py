@@ -263,9 +263,9 @@ def classify(f: PreordMorphism) -> MorphismClassification:
 
 @dataclass(frozen=True)
 class FactorizationResult:
-    """A two-step factorization ``m ∘ e`` of a morphism, certified when it
-    is built: ``e`` lies in the left and ``m`` in the right class that
-    ``SYSTEMS`` names for ``system``."""
+    """A two-step factorization ``m ∘ e`` of a morphism, certified by the
+    constructor (the library's own are built unchecked): ``e`` lies in the
+    left and ``m`` in the right class that ``SYSTEMS`` names for ``system``."""
 
     mid: FinPreorder
     e: PreordMorphism
@@ -295,7 +295,8 @@ def reflective_factorization(f: PreordMorphism) -> FactorizationResult:
 
     The first leg is inverted by the reflection; the second is a trivial
     covering (it is a pullback of a partial-order morphism).  The first leg
-    pairs two monotone maps into the pullback, so it is built unchecked.
+    pairs two monotone maps into the pullback; it and the result are built
+    unchecked.
     """
     _, unit_src = reflect(f.src)
     _, unit_dst = reflect(f.dst)
@@ -312,21 +313,22 @@ def reflective_factorization(f: PreordMorphism) -> FactorizationResult:
             tuple(index[(unit_src(a), f(a))] for a in range(f.src.size)),
         ),
     )
-    return FactorizationResult(mid=pb.object, e=e, m=pb.p2, system="reflective")
+    return _built(FactorizationResult, pb.object, e, pb.p2, "reflective")
 
 
 def monotone_light_factorization(f: PreordMorphism) -> FactorizationResult:
     """Factor ``f`` through the quotient by kernel-pair-meet-symmetric-core.
 
     The quotient leg is surjective and fully faithful; the remaining leg is
-    a covering.  The classes lie in the kernel pair and the symmetric core,
-    so ``m([a]) = f(a)`` is well defined and monotone; built unchecked.
+    a covering, as no two classes in a fibre are core-related.  The classes
+    lie in the kernel pair and the symmetric core, so ``m([a]) = f(a)`` is
+    well defined and monotone; it and the result are built unchecked.
     """
     classes = row_classes(meet(kernel_pair(f.map), sym_core(f.src)).rows)
     e = quotient(f.src, classes)
     m_values = tuple(f(cls[0]) for cls in classes)
     m = _built(PreordMorphism, e.dst, f.dst, SetMap(e.dst.carrier, f.dst.carrier, m_values))
-    return FactorizationResult(mid=e.dst, e=e, m=m, system="monotone-light")
+    return _built(FactorizationResult, e.dst, e, m, "monotone-light")
 
 
 # Each factorization system: the classes certifying its left and right leg,

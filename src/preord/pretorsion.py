@@ -19,12 +19,12 @@ from .relations import (
     _bits,
     _built,
     _fresh_carrier,
+    _row_owners,
     compose_morphisms,
     identity_map,
     inverse_image,
     kernel_pair,
     meet,
-    opposite,
     quotient,
     row_classes,
 )
@@ -49,8 +49,10 @@ __all__ = [
 
 
 def sym_core(p: FinPreorder) -> Relation:
-    """The largest equivalence relation inside ``p``: the meet with its opposite."""
-    return meet(p.rel, opposite(p.rel))
+    """The largest equivalence relation inside ``p``, read off equal rows as
+    in ``reflect``: row ``a`` is the mask of the elements sharing its row."""
+    owners = _row_owners(p.rel.rows)
+    return Relation(p.carrier, p.carrier, tuple(owners[row] for row in p.rel.rows))
 
 
 class Reflection(NamedTuple):
@@ -122,21 +124,24 @@ def ideal_factorization(f: PreordMorphism) -> IdealFactorization | None:
     """An explicit factorization of ``f`` through its image with discrete order.
 
     Returns ``None`` when ``f`` does not collapse every related pair.  No
-    minimality of the discrete middle object is claimed.
+    minimality of the discrete middle object is claimed.  The collapse is
+    monotone as ``f`` collapses related pairs, and so is any map out of a
+    discrete object; all three parts are built unchecked.
     """
     if not in_ideal_N(f):
         return None
     image = sorted(set(f.map.values))
     carrier = _fresh_carrier([f.dst.carrier.label(b) for b in image])
-    mid = FinPreorder(carrier, Relation.diagonal(carrier))
+    mid = _built(FinPreorder, carrier, Relation.diagonal(carrier))
     position = {b: k for k, b in enumerate(image)}
-    collapse = PreordMorphism(
+    collapse = _built(
+        PreordMorphism,
         f.src,
         mid,
         SetMap(f.src.carrier, mid.carrier, tuple(position[v] for v in f.map.values)),
     )
-    embed = PreordMorphism(
-        mid, f.dst, SetMap(mid.carrier, f.dst.carrier, tuple(image))
+    embed = _built(
+        PreordMorphism, mid, f.dst, SetMap(mid.carrier, f.dst.carrier, tuple(image))
     )
     return IdealFactorization(mid, collapse, embed)
 
@@ -183,13 +188,13 @@ class NExactSequence:
 
 def canonical_sequence(p: FinPreorder) -> NExactSequence:
     """Symmetric-core inclusion followed by the reflection unit.  The core
-    is an equivalence inside ``p``, so it and its inclusion are built
-    unchecked."""
+    is an equivalence inside ``p`` and the unit a surjection onto a partial
+    order collapsing each core class, so all are built unchecked."""
     core = _built(FinPreorder, p.carrier, sym_core(p))
     inclusion = _built(PreordMorphism, core, p, identity_map(p.carrier))
     unit = reflect(p).unit
     classes = tuple(tuple(_bits(fibre)) for fibre in unit.map.preimage_masks())
-    return NExactSequence(inclusion, unit, classes)
+    return _built(NExactSequence, inclusion, unit, classes)
 
 
 @dataclass(frozen=True)
@@ -214,9 +219,10 @@ class Decomposition:
 
 
 def decompose(p: FinPreorder) -> Decomposition:
-    """Split a preorder into its symmetric core and quotient partial order."""
+    """Split a preorder into its symmetric core and quotient partial order;
+    the unit's class map has the core as kernel pair, so built unchecked."""
     poset, unit = reflect(p)
-    return Decomposition(sym_core(p), poset, unit.map)
+    return _built(Decomposition, sym_core(p), poset, unit.map)
 
 
 def recompose(d: Decomposition) -> FinPreorder:

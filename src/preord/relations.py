@@ -11,9 +11,10 @@ Elements are canonical indices ``0..size-1``; labels are presentation-only
 metadata carried along for display and serialization.
 
 Public constructors check their input (``FinPreorder``, ``PreordMorphism``,
-and the spaces and continuous maps of ``alexandroff``).  Library results are
-made with ``_built``, unchecked, only where their docstring says why they are
-preorders or monotone maps; the suites re-check them.
+the spaces and continuous maps of ``alexandroff``, and result records such as
+factorizations and exact sequences).  Library results, records included, are
+made with ``_built``, unchecked, only where their docstring says why they
+hold; the suites re-check them, each record through its public constructor.
 """
 
 from __future__ import annotations

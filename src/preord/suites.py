@@ -93,6 +93,11 @@ def _morphisms(objects):
             yield from oracle.enumerate_morphisms(p, q)
 
 
+def _random_preorders(rng: random.Random, count: int, max_size: int):
+    for _ in range(count):
+        yield oracle.random_preorder(rng, rng.randint(0, max_size))
+
+
 # ---------------------------------------------------------------------------
 # instance checks
 
@@ -131,14 +136,21 @@ def check_reflection_parts(
 
 
 def check_sym_core(p: FinPreorder) -> str | None:
-    flags = relation_predicates(pre.sym_core(p))
+    core = pre.sym_core(p)
+    flags = relation_predicates(core)
     if not (flags.reflexive and flags.transitive and flags.symmetric):
         return "symmetric core is not an equivalence relation"
+    if core != kernel_pair(oracle.reflect_by_quotient(p).unit.map):
+        return "symmetric core disagrees with the definitional classes"
     return None
 
 
 def check_canonical_sequence(p: FinPreorder) -> str | None:
     seq = pre.canonical_sequence(p)
+    try:
+        pre.NExactSequence(seq.torsion_part, seq.free_part, seq.witness)
+    except ValueError as exc:
+        return str(exc)
     ok, why = oracle.universal_n_kernel(seq.free_part, seq.torsion_part.src, seq.torsion_part)
     if not ok:
         return f"kernel universal property fails: {why}"
@@ -157,6 +169,10 @@ def check_ideal_agreement(f: PreordMorphism) -> str | None:
         witness = pre.ideal_factorization(f)
         if witness is None:
             return "member of the ideal has no factorization witness"
+        mid = witness.discrete
+        if not (mid.is_discrete() and _is_monotone(f.src, mid, witness.collapse)
+                and _is_monotone(mid, f.dst, witness.embed)):
+            return "ideal witness is not a pair of monotone maps through a discrete object"
         if compose_morphisms(witness.embed, witness.collapse).map != f.map:
             return "ideal witness does not compose back"
     return None
@@ -172,6 +188,10 @@ def check_naturality(f: PreordMorphism) -> str | None:
 
 def check_decomposition_roundtrip(p: FinPreorder) -> str | None:
     d = pre.decompose(p)
+    try:
+        pre.Decomposition(d.equiv, d.quotient_order, d.section_data)
+    except ValueError as exc:
+        return str(exc)
     if pre.recompose(d) != p:
         return "recompose after decompose is not the identity"
     d2 = pre.decompose(pre.recompose(d))
@@ -200,6 +220,10 @@ def check_factorization_parts(
         return "second leg is not monotone"
     if result.composite.map != f.map:
         return "legs do not compose back to the morphism"
+    try:
+        fct.FactorizationResult(result.mid, result.e, result.m, result.system)
+    except ValueError as exc:
+        return str(exc)
     if result.system == "monotone-light":
         expected = pre.reflect(pre.n_kernel(f).K).poset
         if pre.n_kernel(result.m).K != expected:
@@ -208,20 +232,10 @@ def check_factorization_parts(
 
 
 def check_factorizations(f: PreordMorphism) -> str | None:
-    try:
-        refl = fct.reflective_factorization(f)
-    except (ValueError, RuntimeError) as exc:
-        return f"reflective factorization rejected: {exc}"
-    failure = check_factorization_parts(f, refl)
-    if failure:
-        return f"reflective: {failure}"
-    try:
-        light = fct.monotone_light_factorization(f)
-    except (ValueError, RuntimeError) as exc:
-        return f"monotone-light factorization rejected: {exc}"
-    failure = check_factorization_parts(f, light)
-    if failure:
-        return f"monotone-light: {failure}"
+    for system, (_, _, factor) in fct.SYSTEMS.items():
+        failure = check_factorization_parts(f, factor(f))
+        if failure:
+            return f"{system}: {failure}"
     return None
 
 
@@ -544,10 +558,7 @@ def suite_factorization(
     _sweep(report, "trivial-covering naturality square", morphisms, check_m_naturality_square)
 
     eq_morphisms = [
-        f
-        for f in morphisms
-        if relation_predicates(f.src.rel).symmetric
-        and relation_predicates(f.dst.rel).symmetric
+        f for f in morphisms if f.src.is_equivalence() and f.dst.is_equivalence()
     ]
     _sweep(report, "pullback-mono criterion", eq_morphisms, check_pullback_mono)
 
@@ -641,11 +652,8 @@ def suite_factorization(
 
     _sweep(report, "effective-descent covers (exhaustive)", objects, check_cover)
 
-    def random_preorders():
-        for _ in range(cover_random):
-            yield oracle.random_preorder(rng, rng.randint(0, cover_size))
-
-    _sweep(report, "effective-descent covers (random)", random_preorders(), check_cover)
+    _sweep(report, "effective-descent covers (random)",
+           _random_preorders(rng, cover_random, cover_size), check_cover)
 
     def random_morphism_stream():
         for _ in range(random_morphisms):
@@ -722,11 +730,8 @@ def suite_alexandroff(
 
     _sweep(report, "round trips (exhaustive)", objects, check_space_roundtrip)
 
-    def randoms():
-        for _ in range(random_instances):
-            yield oracle.random_preorder(rng, rng.randint(0, random_size))
-
-    _sweep(report, "round trips (random)", randoms(), check_space_roundtrip)
+    _sweep(report, "round trips (random)",
+           _random_preorders(rng, random_instances, random_size), check_space_roundtrip)
     _sweep(
         report,
         "monotone maps are exactly continuous maps",
@@ -737,11 +742,8 @@ def suite_alexandroff(
            objects, check_min_nbhd_intersection)
     _sweep(report, "T0/partition dual tests (exhaustive)", objects, check_topology_predicates)
 
-    def random_objects():
-        for _ in range(random_instances):
-            yield oracle.random_preorder(rng, rng.randint(0, random_size))
-
-    _sweep(report, "T0/partition dual tests (random)", random_objects(), check_topology_predicates)
+    _sweep(report, "T0/partition dual tests (random)",
+           _random_preorders(rng, random_instances, random_size), check_topology_predicates)
     _sweep(report, "T0 reflection matches order reflection",
            objects, check_t0_reflection_agreement)
     _sweep(report, "continuous classification matches order classification",

@@ -2,8 +2,10 @@
 rebuild through the public constructors, which run those checks.
 
 The rebuild raises when a built preorder is not reflexive and transitive,
-a built space not nested, or a built map not monotone; equal values must
-also hash equally, since built values meet checked ones in sets and dicts.
+a built space not nested, a built map not monotone, or a built record
+(factorization, exact sequence, decomposition) fails its constructor's
+checks; equal values must also hash equally, since built values meet
+checked ones in sets and dicts.
 """
 
 import random
@@ -27,7 +29,13 @@ from preord.relations import (
 
 
 def rebuilt(x):
-    """``x`` made again through its public constructor, endpoints first."""
+    """``x`` made again through its public constructor, parts first."""
+    if isinstance(x, fct.FactorizationResult):
+        return fct.FactorizationResult(rebuilt(x.mid), rebuilt(x.e), rebuilt(x.m), x.system)
+    if isinstance(x, pre.NExactSequence):
+        return pre.NExactSequence(rebuilt(x.torsion_part), rebuilt(x.free_part), x.witness)
+    if isinstance(x, pre.Decomposition):
+        return pre.Decomposition(x.equiv, rebuilt(x.quotient_order), x.section_data)
     if isinstance(x, FinPreorder):
         return FinPreorder(x.carrier, x.rel)
     if isinstance(x, PreordMorphism):
@@ -57,6 +65,8 @@ def check_object_sites(p: FinPreorder) -> None:
         unit,
         unit.src,
         seq.torsion_part,
+        seq,
+        pre.decompose(p),
         pre.recompose(pre.decompose(p)),
         cover.total,
         cover.projection,
@@ -74,6 +84,9 @@ def check_map_sites(f: PreordMorphism) -> None:
     kernel = pre.n_kernel(f)
     refl = fct.reflective_factorization(f)
     light = fct.monotone_light_factorization(f)
+    witness = pre.ideal_factorization(f)
+    if witness is not None:
+        assert_rebuilds(*witness)
     assert_rebuilds(
         compose_morphisms(pre.reflect(f.dst).unit, f),
         pb.p1,
@@ -84,6 +97,8 @@ def check_map_sites(f: PreordMorphism) -> None:
         refl.m,
         light.e,
         light.m,
+        refl,
+        light,
     )
 
 

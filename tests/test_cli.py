@@ -331,6 +331,16 @@ class TestErrors:
     def test_strict_flag(self, running_file):
         assert main(["reflect", running_file, "--strict"]) == 2
 
+    @pytest.mark.parametrize("kind", ["directory", "not-utf-8"])
+    def test_unreadable_input_is_an_input_error(self, kind, tmp_path, capsys):
+        path = tmp_path / "doc.preord"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"preord 1\nobject P\n  points \xff\n")
+        assert main(["reflect", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 def test_module_entry_point(running_file):
     proc = subprocess.run(

@@ -27,12 +27,14 @@ from preord.relations import (
     FinPreorder,
     PreordMorphism,
     SetMap,
+    _built,
     compose_morphisms,
     identity_morphism,
     is_isomorphism,
     preord_pullback,
     relation_predicates,
 )
+from preord.suites import check_factorization_parts
 
 
 def to_point(p):
@@ -221,6 +223,15 @@ class TestFactorizationResult:
         assert is_in_E(legs.e) and not is_in_M(legs.m)
         with pytest.raises(ValueError, match="m is not in_M"):
             FactorizationResult(legs.mid, legs.e, legs.m, "reflective")
+
+    def test_suites_reject_built_legs_outside_the_named_class(self):
+        # the library builds its results unchecked, so the suite check must
+        # find what the constructor would have rejected
+        f = morph(FinPreorder.discrete(2), FinPreorder.codiscrete(2), (0, 1))
+        legs = monotone_light_factorization(f)
+        result = _built(FactorizationResult, legs.mid, legs.e, legs.m, "reflective")
+        failure = check_factorization_parts(f, result)
+        assert failure is not None and "m is not in_M" in failure
 
     def test_left_leg_outside_the_named_class(self):
         # a point into two codiscrete points: its reflection-inverted leg is
