@@ -20,9 +20,9 @@ from .relations import (
     _bits,
     _built,
     _fresh_carrier,
-    _monotonicity_counterexample,
+    _excess,
     _or_rows,
-    _transitivity_counterexample,
+    _pull,
     class_map,
     direct_image,
     opposite,
@@ -64,9 +64,12 @@ class AlexandroffSpace:
                 raise ValueError(f"neighborhood of {x} is not a subset of the carrier")
             if not nbhd >> x & 1:
                 raise ValueError(f"point {x} is missing from its own neighborhood")
-        bad = _transitivity_counterexample(self.min_nbhd)
+        nbhds = self.min_nbhd
+        # U∘U ⊆ U, exact since _or_rows is exact on every relation
+        bad = _excess(_or_rows(nbhds, nbhds), nbhds)
         if bad is not None:
-            x, y, _ = bad
+            x, z = bad
+            y = next(y for y in _bits(nbhds[x]) if nbhds[y] >> z & 1)
             raise ValueError(
                 f"neighborhoods are not nested: U({y}) is not inside U({x})"
             )
@@ -147,9 +150,8 @@ class ContinuousMap:
     def __post_init__(self) -> None:
         if self.map.dom != self.src.carrier or self.map.cod != self.dst.carrier:
             raise ValueError("underlying map does not match the endpoints")
-        bad = _monotonicity_counterexample(
-            self.src.min_nbhd, self.dst.min_nbhd, self.map.values
-        )
+        # U ⊆ f*(U') on the neighborhood rows, exact as in PreordMorphism
+        bad = _excess(self.src.min_nbhd, _pull(self.map, self.dst.min_nbhd))
         if bad is not None:
             y, x = bad
             raise ValueError(

@@ -44,6 +44,7 @@ from .relations import (
     Relation,
     SetMap,
     _bits,
+    _excess,
     _is_label,
     reflexive_transitive_closure,
 )
@@ -175,16 +176,14 @@ def _build_preorder(block: _Block, strict: bool) -> FinPreorder:
         raise
     raw = Relation(carrier, carrier, tuple(rows))
     closed = reflexive_transitive_closure(raw)
-    if strict and closed.rel != raw:
-        for i, (have, want) in enumerate(zip(raw.rows, closed.rel.rows)):
-            missing = want & ~have
-            if missing:
-                j = next(_bits(missing))
-                raise DocumentError(
-                    f"object {block.name!r} is not closed: missing edge "
-                    f"{carrier.label(i)} {carrier.label(j)}",
-                    block.line,
-                )
+    missing = _excess(closed.rel.rows, raw.rows) if strict else None
+    if missing is not None:
+        i, j = missing
+        raise DocumentError(
+            f"object {block.name!r} is not closed: missing edge "
+            f"{carrier.label(i)} {carrier.label(j)}",
+            block.line,
+        )
     return closed
 
 

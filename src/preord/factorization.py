@@ -22,11 +22,12 @@ from .relations import (
     _bits,
     _built,
     _class_label,
+    _excess,
     _fresh_carrier,
     _or_rows,
+    _pulled_back,
     compose_morphisms,
     direct_image,
-    inverse_image,
     is_pullback_square,
     kernel_pair,
     meet,
@@ -65,16 +66,12 @@ class OrthogonalityError(RuntimeError):
 
 
 def _fully_faithful_counterexample(f: PreordMorphism) -> tuple[int, int] | None:
-    pulled = inverse_image(f.map, f.dst.rel)
-    for a in range(f.src.size):
-        extra = pulled.rows[a] & ~f.src.rel.rows[a]
-        if extra:
-            return (a, next(_bits(extra)))
-    return None
+    return _excess(_pulled_back(f), f.src.rel.rows)
 
 
 def is_fully_faithful(f: PreordMorphism) -> bool:
-    """Source elements are related exactly when their images are."""
+    """Source elements are related exactly when their images are:
+    ``f*(≤_Q) ⊆ ≤_P``, the reverse of monotonicity."""
     return _fully_faithful_counterexample(f) is None
 
 
@@ -83,12 +80,7 @@ def _regular_epi_counterexample(f: PreordMorphism) -> tuple[int, ...] | None:
     missed = ((1 << f.dst.size) - 1) & ~hit
     if missed:
         return (next(_bits(missed)),)
-    image = direct_image(f.map, f.src.rel)
-    for b in range(f.dst.size):
-        extra = f.dst.rel.rows[b] & ~image.rows[b]
-        if extra:
-            return (b, next(_bits(extra)))
-    return None
+    return _excess(f.dst.rel.rows, direct_image(f.map, f.src.rel).rows)
 
 
 def is_regular_epi(f: PreordMorphism) -> bool:
@@ -433,7 +425,7 @@ def pullback_mono_check(f: PreordMorphism) -> tuple[bool, bool]:
         raise ValueError("precondition violation: source must be an equivalence relation")
     if not f.dst.is_equivalence():
         raise ValueError("precondition violation: target must be an equivalence relation")
-    pulled_back = inverse_image(f.map, f.dst.rel) == f.src.rel
+    pulled_back = _pulled_back(f) == f.src.rel.rows
     induced = reflect_morphism(f)
     return (pulled_back, induced.is_injective())
 

@@ -18,6 +18,7 @@ from .relations import (
     Relation,
     SetMap,
     _bits,
+    _built,
     compose_morphisms,
     meet,
     opposite,
@@ -77,14 +78,15 @@ def _check_cap(n: int) -> None:
 
 def transitive_by_pairs(rows) -> bool:
     """Transitivity by visiting every related pair ``(i, j)`` and checking
-    ``rows[j] ⊆ rows[i]``: the slow counterpart of the covered walk in
-    ``FinPreorder`` validation."""
+    ``rows[j] ⊆ rows[i]``: the slow counterpart of the inclusion
+    ``R∘R ⊆ R`` that ``FinPreorder`` and ``AlexandroffSpace`` test."""
     return all(rows[j] & ~row == 0 for row in rows for j in _bits(row))
 
 
 def monotone_by_pairs(src_rows, dst_rows, values) -> bool:
     """Monotonicity by visiting every related pair of the source: the slow
-    counterpart of the covered walk in ``PreordMorphism`` validation."""
+    counterpart of the inclusion ``≤_P ⊆ f*(≤_Q)`` that ``PreordMorphism``
+    and ``ContinuousMap`` test."""
     return all(
         dst_rows[values[a]] >> values[b] & 1
         for a, row in enumerate(src_rows)
@@ -147,7 +149,8 @@ def dumps_by_pairs(doc) -> str:
 def enumerate_preorders(n: int) -> Iterator[FinPreorder]:
     """All reflexive transitive relations on ``n`` labeled points.
 
-    Filters every candidate off-diagonal bit pattern by transitivity.
+    Filters every candidate off-diagonal bit pattern by transitivity, pair
+    by pair; the survivors are preorders, built unchecked.
     """
     _check_cap(n)
     carrier = FinSet(n)
@@ -159,7 +162,7 @@ def enumerate_preorders(n: int) -> Iterator[FinPreorder]:
                 rows[i] |= 1 << j
         if not transitive_by_pairs(rows):
             continue
-        yield FinPreorder(carrier, Relation(carrier, carrier, tuple(rows)))
+        yield _built(FinPreorder, carrier, Relation(carrier, carrier, tuple(rows)))
 
 
 def enumerate_preorders_by_closure(n: int) -> list[FinPreorder]:
@@ -183,11 +186,15 @@ def enumerate_preorders_by_closure(n: int) -> list[FinPreorder]:
 
 
 def enumerate_morphisms(p: FinPreorder, q: FinPreorder) -> Iterator[PreordMorphism]:
-    """All monotone maps from ``p`` to ``q``, by pruned backtracking."""
+    """All monotone maps from ``p`` to ``q``, by pruned backtracking.
+
+    Each assignment is checked against every related pair with the points
+    already assigned, so every yielded map is monotone, built unchecked.
+    """
     _check_cap(max(p.size, q.size))
     n, m = p.size, q.size
     if n == 0:
-        yield PreordMorphism(p, q, SetMap(p.carrier, q.carrier, ()))
+        yield _built(PreordMorphism, p, q, SetMap(p.carrier, q.carrier, ()))
         return
     if m == 0:
         return
@@ -214,7 +221,7 @@ def enumerate_morphisms(p: FinPreorder, q: FinPreorder) -> Iterator[PreordMorphi
                 yield from extend(a + 1)
 
     for assignment in extend(0):
-        yield PreordMorphism(p, q, SetMap(p.carrier, q.carrier, assignment))
+        yield _built(PreordMorphism, p, q, SetMap(p.carrier, q.carrier, assignment))
 
 
 def enumerate_set_maps(dom: FinSet, cod: FinSet) -> Iterator[SetMap]:

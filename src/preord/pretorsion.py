@@ -18,6 +18,7 @@ from .relations import (
     SetMap,
     _bits,
     _built,
+    _excess,
     _fresh_carrier,
     _row_owners,
     compose_morphisms,
@@ -102,16 +103,11 @@ def in_ideal_N(f: PreordMorphism) -> bool:
     """Whether ``f`` factors through a discrete object.
 
     Decided by the pointwise collapse criterion: every related pair of the
-    source must have equal images.  The equivalence with an actual
-    factorization search is validated by the oracle suite rather than
+    source must have equal images, ``≤_P ⊆ ker f``.  The equivalence with an
+    actual factorization search is validated by the oracle suite rather than
     trusted axiomatically.
     """
-    pre = f.map.preimage_masks()
-    values = f.map.values
-    for a, row in enumerate(f.src.rel.rows):
-        if row & ~pre[values[a]]:
-            return False
-    return True
+    return _excess(f.src.rel.rows, kernel_pair(f.map).rows) is None
 
 
 class IdealFactorization(NamedTuple):

@@ -64,7 +64,7 @@ def _bits(mask: int) -> Iterator[int]:
 def _or_rows(rows: Sequence[int], table: Sequence[int]) -> tuple[int, ...]:
     """Row ``i`` of the result is the OR of ``table[j]`` over the set bits
     ``j`` of ``rows[i]``: the bit-row kernel behind composition, direct and
-    inverse image and pullbacks.
+    inverse image, pullbacks and the order checks.
 
     Each distinct row ``r`` is computed once, in ascending order, so every
     strict subset of ``r``, a smaller number, comes before it.  The walk
@@ -392,8 +392,14 @@ def inverse_image(f: SetMap, s: Relation) -> Relation:
     _require_endorelation(s)
     if s.src != f.cod:
         raise ValueError("carrier mismatch: relation does not live on the map's codomain")
-    pulled = _or_rows(s.rows, f.preimage_masks())
-    return Relation(f.dom, f.dom, tuple(map(pulled.__getitem__, f.values)))
+    return Relation(f.dom, f.dom, _pull(f, s.rows))
+
+
+def _pull(f: SetMap, rows: Sequence[int]) -> tuple[int, ...]:
+    """The rows of an endorelation on ``f.cod`` pulled back along ``f``, by
+    ORing the fibres over each distinct row: ``inverse_image``'s kernel."""
+    pulled = _or_rows(rows, f.preimage_masks())
+    return tuple(map(pulled.__getitem__, f.values))
 
 
 def kernel_pair(f: SetMap) -> Relation:
@@ -411,79 +417,14 @@ def _row_owners(rows: Sequence[int]) -> dict[int, int]:
     return owners
 
 
-def _transitivity_counterexample(rows: Sequence[int]) -> tuple[int, int, int] | None:
-    """A triple ``(i, j, k)`` with ``j`` in row ``i`` and ``k`` in row ``j``
-    but not in row ``i``, or ``None`` when the endorelation is transitive.
-
-    Each distinct row ``r`` is checked once, through its least owner ``i``;
-    ``own`` masks the indices whose row is ``r``, and those need no check.
-    Of the rest of ``r``, the lowest unreached index ``k`` is checked
-    (``rows[k] ⊆ r``), then ``k`` and all of ``rows[k]`` count as reached.
-
-    Exact, by induction on the popcount of ``r``: a reached ``j`` that was
-    not checked lies in a checked ``rows[k]`` with ``rows[k] ⊊ r`` (it is a
-    subset by the check and differs from ``r`` because ``k`` is not an
-    owner).  A violation at ``(r, j)``, some bit of ``rows[j]`` outside
-    ``r``, is then outside ``rows[k]`` too: a violation at the strictly
-    smaller ``(rows[k], j)``, which by induction the pass over ``rows[k]``
-    would have reported.  A reported triple is a violation by construction.
-    Reaching ``k`` explicitly keeps the walk finite even where ``k`` is not
-    in ``rows[k]``.  So the cost of a row is its number of covering steps,
-    a few word-parallel operations each, not its number of related pairs.
-    """
-    for r, own in _row_owners(rows).items():
-        i = (own & -own).bit_length() - 1
-        rem = r & ~own
-        while rem:
-            low = rem & -rem
-            k = low.bit_length() - 1
-            sub = rows[k]
-            extra = sub & ~r
-            if extra:
-                return (i, k, (extra & -extra).bit_length() - 1)
-            rem &= ~(sub | low)
-    return None
-
-
-def _monotonicity_counterexample(
-    src_rows: Sequence[int], dst_rows: Sequence[int], values: Sequence[int]
-) -> tuple[int, int] | None:
-    """A pair ``(a, b)`` related in ``src_rows`` whose images ``(f(a), f(b))``
-    are not related in ``dst_rows``, or ``None`` when ``f`` is monotone.
-
-    Both relations must be preorders.  Each class of equal source rows
-    ``r`` is checked through its least member ``rep``: every other member's
-    image must be related to ``f(rep)`` both ways, and the covered walk of
-    ``_transitivity_counterexample`` runs over the rest of ``r``, checking
-    ``f(rep) ≤ f(k)`` at each covering step ``k``.
-
-    Exact, by induction on the popcount of ``r``: a skipped ``j`` lies in a
-    checked ``rows[k] ⊊ r`` (transitivity of the source), so ``f(k) ≤ f(j)``
-    by induction, through the pass over the class of ``k``, and then
-    ``f(rep) ≤ f(k) ≤ f(j)`` by transitivity of the target; a member ``m``
-    has ``f(m) ≤ f(rep)`` as well.
-    """
-    for r, own in _row_owners(src_rows).items():
-        rep = (own & -own).bit_length() - 1
-        v = values[rep]
-        up = dst_rows[v]
-        others = own & (own - 1)
-        while others:
-            low = others & -others
-            m = low.bit_length() - 1
-            w = values[m]
-            if not up >> w & 1:
-                return (rep, m)
-            if not dst_rows[w] >> v & 1:
-                return (m, rep)
-            others ^= low
-        rem = r & ~own
-        while rem:
-            low = rem & -rem
-            k = low.bit_length() - 1
-            if not up >> values[k] & 1:
-                return (rep, k)
-            rem &= ~(src_rows[k] | low)
+def _excess(rows: Sequence[int], bound: Sequence[int]) -> tuple[int, int] | None:
+    """The first ``(i, j)`` with bit ``j`` in ``rows[i]`` but not in
+    ``bound[i]``, or ``None`` when every row lies inside its bound: the one
+    inclusion test behind every order check."""
+    for i, row in enumerate(rows):
+        extra = row & ~bound[i]
+        if extra:
+            return (i, (extra & -extra).bit_length() - 1)
     return None
 
 
@@ -501,7 +442,7 @@ def relation_predicates(r: Relation) -> RelationPredicates:
     n = r.src.size
     rows = r.rows
     reflexive = all(rows[i] >> i & 1 for i in range(n))
-    transitive = _transitivity_counterexample(rows) is None
+    transitive = _excess(_or_rows(rows, rows), rows) is None  # R∘R ⊆ R
     cols = r.columns()
     symmetric = rows == cols
     antisymmetric = all(
@@ -525,9 +466,11 @@ class FinPreorder:
         for i in range(n):
             if not rows[i] >> i & 1:
                 raise ValueError(f"not reflexive: ({i}, {i}) missing")
-        bad = _transitivity_counterexample(rows)
+        # R∘R ⊆ R, exact since _or_rows is exact on every relation
+        bad = _excess(_or_rows(rows, rows), rows)
         if bad is not None:
-            i, j, k = bad
+            i, k = bad
+            j = next(j for j in _bits(rows[i]) if rows[j] >> k & 1)
             raise ValueError(
                 f"not transitive: ({i}, {j}) and ({j}, {k}) but not ({i}, {k})"
             )
@@ -685,7 +628,8 @@ class PreordMorphism:
         if self.map.dom != self.src.carrier or self.map.cod != self.dst.carrier:
             raise ValueError("underlying map does not match the endpoints")
         values = self.map.values
-        bad = _monotonicity_counterexample(self.src.rel.rows, self.dst.rel.rows, values)
+        # ≤_P ⊆ f*(≤_Q), exact since _or_rows is exact on every relation
+        bad = _excess(self.src.rel.rows, _pulled_back(self))
         if bad is not None:
             a, a2 = bad
             raise ValueError(
@@ -701,6 +645,17 @@ class PreordMorphism:
 
     def is_injective(self) -> bool:
         return self.map.is_injective()
+
+
+def _pulled_back(f: PreordMorphism) -> tuple[int, ...]:
+    """The rows of ``f*(≤_Q)``, which validation, fully-faithfulness and
+    ``is_isomorphism`` test ``≤_P`` against; memoised on ``f`` outside its
+    dataclass fields, as ``Relation.columns`` is."""
+    pulled = f.__dict__.get("_pulled_back")
+    if pulled is None:
+        pulled = _pull(f.map, f.dst.rel.rows)
+        object.__setattr__(f, "_pulled_back", pulled)
+    return pulled
 
 
 def identity_morphism(p: FinPreorder) -> PreordMorphism:
@@ -720,7 +675,7 @@ def is_isomorphism(f: PreordMorphism) -> bool:
     """Bijective and order-reflecting, so the inverse map is monotone too."""
     if f.src.size != f.dst.size or not f.map.is_injective():
         return False
-    return inverse_image(f.map, f.dst.rel) == f.src.rel
+    return _pulled_back(f) == f.src.rel.rows
 
 
 class Pullback(NamedTuple):

@@ -21,7 +21,7 @@ from .relations import (
     FinSet,
     PreordMorphism,
     SetMap,
-    _monotonicity_counterexample,
+    _excess,
     compose_morphisms,
     direct_image,
     identity_morphism,
@@ -103,10 +103,10 @@ def _random_preorders(rng: random.Random, count: int, max_size: int):
 
 
 def _is_monotone(src: FinPreorder, dst: FinPreorder, f: PreordMorphism) -> bool:
-    """Whether ``f`` is monotone from ``src`` to ``dst``, by the walk that
-    ``PreordMorphism`` runs; library results are built without it, so the
-    checks run it here.  Both endpoints must already be known preorders."""
-    return _monotonicity_counterexample(src.rel.rows, dst.rel.rows, f.map.values) is None
+    """Whether ``f`` is monotone from ``src`` to ``dst``, by the inclusion
+    ``≤_src ⊆ f*(≤_dst)`` that ``PreordMorphism`` tests; library results are
+    built without it, so the checks test it here."""
+    return _excess(src.rel.rows, inverse_image(f.map, dst.rel).rows) is None
 
 
 def check_reflection_parts(
@@ -472,17 +472,25 @@ def check_classify_continuous_agreement(f: PreordMorphism) -> str | None:
 # suites
 
 
+_NO_MORE = object()
+
+
 def _sweep(report: SuiteReport, name: str, instances, checker) -> None:
     """Run ``checker`` on every instance; the first failure fails the check,
-    and so does a sweep that saw no instance, which would otherwise pass
+    and so does an exception from the checker or from the instance stream,
+    and a sweep that saw no instance, which would otherwise pass
     vacuously."""
     count = 0
-    for instance in instances:
-        count += 1
+    stream = iter(instances)
+    while True:
         try:
+            instance = next(stream, _NO_MORE)
+            if instance is _NO_MORE:
+                break
             failure = checker(instance)
-        except Exception as exc:  # a raised check is a failed check
+        except Exception as exc:  # a raised check or instance is a failed check
             failure = f"raised {exc!r}"
+        count += 1
         if failure is not None:
             report.add(name, f"instance {count}: {failure}")
             return

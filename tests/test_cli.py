@@ -5,7 +5,15 @@ import pytest
 
 from preord.cli import main
 from preord.docio import loads
-from preord.suites import suite_alexandroff, suite_factorization, suite_pretorsion, suite_stable_units
+from preord import suites
+from preord.suites import (
+    SuiteReport,
+    _sweep,
+    suite_alexandroff,
+    suite_factorization,
+    suite_pretorsion,
+    suite_stable_units,
+)
 
 RUNNING = """\
 preord 1
@@ -265,6 +273,32 @@ class TestCheck:
         assert not report.ok
         assert {check.detail for check in report.checks} == {"no instances were checked"}
         assert report.lines()[-1] == "FAIL: suite pretorsion (0/8 checks)"
+
+    def test_a_raising_instance_stream_fails_its_check(self):
+        def stream():
+            yield 1
+            raise RuntimeError("no instance")
+
+        report = SuiteReport("s")
+        _sweep(report, "first", stream(), lambda instance: None)
+        _sweep(report, "second", [1, 2], lambda instance: None)
+        assert report.lines() == [
+            "FAIL first: instance 2: raised RuntimeError('no instance')",
+            "ok   second [2 instances]",
+            "FAIL: suite s (1/2 checks)",
+        ]
+
+    def test_a_raising_generator_does_not_abort_its_suite(self, monkeypatch):
+        def broken(f):
+            raise RuntimeError("no factorization")
+
+        monkeypatch.setattr(suites.fct, "monotone_light_factorization", broken)
+        report = suite_factorization(max_n=0, random_morphisms=2, cover_random=2, ortho_random=2, stability_samples=6)
+        lines = report.lines()
+        square = lines.index(
+            "FAIL orthogonality on random squares: instance 1: raised RuntimeError('no factorization')"
+        )
+        assert lines[square + 1].startswith("ok   effective-descent covers (exhaustive)")
 
     def test_cap_error(self, capsys):
         assert main(["check", "--suite", "pretorsion", "--max-n", "7"]) == 2

@@ -21,6 +21,7 @@ from preord.factorization import (
     reflective_factorization,
     verify_stable_units,
 )
+from preord import relations
 from preord.oracle import enumerate_morphisms, enumerate_preorders
 from preord.pretorsion import n_kernel, reflect
 from preord.relations import (
@@ -64,6 +65,19 @@ class TestFullyFaithful:
 
 
 class TestClassify:
+    def test_the_target_order_is_pulled_back_once(self, monkeypatch):
+        # count real pullbacks, below the memo on the morphism
+        pulled = []
+        pull = relations._pull
+        monkeypatch.setattr(relations, "_pull", lambda f, rows: pulled.append(f) or pull(f, rows))
+        unit = reflect(running_example()).unit  # a library result, built unchecked
+        classify(unit)
+        classify(unit)
+        assert pulled == [unit.map]  # shared by fully_faithful, in_E and in_E_bar
+        f = morph(running_example(), FinPreorder.chain(2), (0, 0, 1))
+        classify(f)
+        assert pulled == [unit.map, f.map]  # validation already pulled it back
+
     def test_poset_morphisms_are_trivial_coverings(self):
         f = morph(FinPreorder.chain(2), FinPreorder.chain(3), (0, 2))
         assert classify(f).in_M

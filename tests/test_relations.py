@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import hypothesis.strategies as st
 import pytest
@@ -11,6 +12,7 @@ from preord.alexandroff import AlexandroffSpace, ContinuousMap, preorder_to_spac
 from preord.oracle import (
     closure_slow,
     compose_relations_slow,
+    enumerate_morphisms,
     enumerate_preorders,
     enumerate_set_maps,
     monotone_by_pairs,
@@ -19,10 +21,9 @@ from preord.oracle import (
     transpose_by_bits,
 )
 from preord.relations import (
-    _monotonicity_counterexample,
+    _excess,
     _or_rows,
     _scc_classes,
-    _transitivity_counterexample,
     _transpose,
     FinPreorder,
     FinSet,
@@ -493,9 +494,52 @@ def closed_edge_sets(draw):
     return n, edges, FinPreorder.from_edges(n, edges)
 
 
+TRANSITIVITY_FAILURE = re.compile(r"not transitive: \((\d+), (\d+)\) and \((\d+), (\d+)\) but not \((\d+), (\d+)\)")
+MONOTONICITY_FAILURE = re.compile(r"not monotone: \((\d+), (\d+)\) related but \((\d+), (\d+)\) is not")
+
+
+def _transitivity_failure(carrier, rows):
+    """The triple named by ``FinPreorder``'s error on ``rows``, checked to
+    be a genuine violation, or ``None`` when the rows are accepted."""
+    try:
+        FinPreorder(carrier, Relation(carrier, carrier, rows))
+    except ValueError as exc:
+        i, j, j2, k, i2, k2 = map(int, TRANSITIVITY_FAILURE.fullmatch(str(exc)).groups())
+        assert (j, i, k) == (j2, i2, k2)
+        assert rows[i] >> j & 1 and rows[j] >> k & 1 and not rows[i] >> k & 1
+        assert _excess(_or_rows(rows, rows), rows) == (i, k)
+        return (i, j, k)
+    assert _excess(_or_rows(rows, rows), rows) is None
+    return None
+
+
+def _monotonicity_failure(p, q, m):
+    """The pair named by ``PreordMorphism``'s error on ``m``, checked to be a
+    genuine violation, or ``None`` when the map is accepted."""
+    v = m.values
+    try:
+        PreordMorphism(p, q, m)
+    except ValueError as exc:
+        a, b, fa, fb = map(int, MONOTONICITY_FAILURE.fullmatch(str(exc)).groups())
+        assert (fa, fb) == (v[a], v[b])
+        assert p.leq(a, b) and not q.leq(v[a], v[b])
+        assert _excess(p.rel.rows, inverse_image(m, q.rel).rows) == (a, b)
+        return (a, b)
+    assert _excess(p.rel.rows, inverse_image(m, q.rel).rows) is None
+    return None
+
+
 class TestCoveredValidation:
-    """The covered walks behind object and morphism validation agree with
-    the per-pair scans of ``oracle``, and every counterexample is genuine."""
+    """Object and morphism validation, inclusions of bit rows through the
+    covered kernel ``_or_rows``, agree with the per-pair scans of
+    ``oracle``, and every counterexample is genuine."""
+
+    def test_excess_is_the_first_pair_outside_the_bound(self):
+        relations = list(_all_relations(THREE, TWO))
+        for r in relations:
+            for s in relations:
+                outside = [(i, j) for i, j in r.pairs() if not s.has(i, j)]
+                assert _excess(r.rows, s.rows) == (outside[0] if outside else None)
 
     def test_transitivity_on_every_reflexive_relation_up_to_four_points(self):
         seen = 0
@@ -503,17 +547,13 @@ class TestCoveredValidation:
             carrier = FinSet(n)
             for rows in _reflexive_relations(n):
                 seen += 1
-                bad = _transitivity_counterexample(rows)
+                bad = _transitivity_failure(carrier, rows)
                 assert (bad is None) == transitive_by_pairs(rows)
-                relation = Relation(carrier, carrier, rows)
+                assert relation_predicates(Relation(carrier, carrier, rows)).transitive == (bad is None)
                 if bad is None:
-                    FinPreorder(carrier, relation)
                     AlexandroffSpace(carrier, rows)
                     continue
-                i, j, k = bad
-                assert rows[i] >> j & 1 and rows[j] >> k & 1 and not rows[i] >> k & 1
-                with pytest.raises(ValueError, match=rf"not transitive: \({i}, {j}\) and \({j}, {k}\) but not \({i}, {k}\)"):
-                    FinPreorder(carrier, relation)
+                i, j, _ = bad
                 with pytest.raises(ValueError, match=rf"not nested: U\({j}\) is not inside U\({i}\)"):
                     AlexandroffSpace(carrier, rows)
         assert seen == 4166
@@ -523,49 +563,39 @@ class TestCoveredValidation:
         seen = 0
         for p, sp in objects:
             for q, sq in objects:
+                accepted = []
                 for m in enumerate_set_maps(p.carrier, q.carrier):
                     seen += 1
-                    v = m.values
-                    bad = _monotonicity_counterexample(p.rel.rows, q.rel.rows, v)
-                    assert (bad is None) == monotone_by_pairs(p.rel.rows, q.rel.rows, v)
+                    bad = _monotonicity_failure(p, q, m)
+                    assert (bad is None) == monotone_by_pairs(p.rel.rows, q.rel.rows, m.values)
                     if bad is None:
-                        PreordMorphism(p, q, m)
+                        accepted.append(m.values)
                         ContinuousMap(sp, sq, m)
                         continue
-                    a, b = bad
-                    assert p.leq(a, b) and not q.leq(v[a], v[b])
-                    with pytest.raises(ValueError, match=rf"not monotone: \({a}, {b}\) related but \({v[a]}, {v[b]}\) is not"):
-                        PreordMorphism(p, q, m)
                     with pytest.raises(ValueError, match="not continuous"):
                         ContinuousMap(sp, sq, m)
+                assert [f.map.values for f in enumerate_morphisms(p, q)] == accepted
         assert seen == 24907
 
     @given(closed_edge_sets(), st.data())
     def test_transitivity_counterexample_after_removing_one_pair(self, closed, data):
-        _, _, p = closed
+        n, _, p = closed
         pairs = [(i, j) for i, j in p.rel.pairs() if i != j]
         assume(pairs)
         i, j = data.draw(st.sampled_from(pairs))
         rows = list(p.rel.rows)
         rows[i] &= ~(1 << j)
-        bad = _transitivity_counterexample(rows)
+        bad = _transitivity_failure(FinSet(n), tuple(rows))
         assert (bad is None) == transitive_by_pairs(rows)
-        if bad is not None:
-            a, b, c = bad
-            assert rows[a] >> b & 1 and rows[b] >> c & 1 and not rows[a] >> c & 1
 
     @given(closed_edge_sets(), st.data())
     def test_monotonicity_counterexample_after_removing_one_edge(self, closed, data):
         n, edges, p = closed
         drop = data.draw(st.integers(0, len(edges) - 1))
         q = FinPreorder.from_edges(n, edges[:drop] + edges[drop + 1 :])
-        values = tuple(range(n))
-        bad = _monotonicity_counterexample(p.rel.rows, q.rel.rows, values)
-        assert (bad is None) == monotone_by_pairs(p.rel.rows, q.rel.rows, values)
+        bad = _monotonicity_failure(p, q, identity_map(p.carrier))
+        assert (bad is None) == monotone_by_pairs(p.rel.rows, q.rel.rows, tuple(range(n)))
         assert (bad is None) == (p == q)
-        if bad is not None:
-            a, b = bad
-            assert p.leq(a, b) and not q.leq(a, b)
 
 
 def _all_relations(src, dst):
