@@ -57,6 +57,7 @@ from .pretorsion import (
     Reflection,
     canonical_sequence,
     decompose,
+    generators,
     hom_is_trivial,
     ideal_factorization,
     in_ideal_N,

@@ -198,19 +198,6 @@ def cmd_topology(args) -> int:
     return 0
 
 
-def _hasse_covers(poset: FinPreorder) -> list[tuple[int, int]]:
-    covers = []
-    rows = poset.rel.rows
-    cols = poset.rel.columns()
-    for a in range(poset.size):
-        strict = rows[a] & ~(1 << a)
-        for b in _bits(strict):
-            between = strict & cols[b] & ~(1 << b)
-            if between == 0:
-                covers.append((a, b))
-    return covers
-
-
 def _dot_id(text: str) -> str:
     """A quoted DOT ID, with ``\\`` and ``"`` escaped."""
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
@@ -223,18 +210,21 @@ def cmd_export(args) -> int:
     doc = _load(args)
     name, p = _pick_object(doc, args.object)
     poset, unit = pre.reflect(p)
-    classes = [list(_bits(fibre)) for fibre in unit.map.preimage_masks()]
+    fibres = unit.map.preimage_masks()
     lines = [f"digraph {_dot_id(name)} {{", "  compound=true;", "  rankdir=BT;"]
-    for ci, members in enumerate(classes):
+    for ci, fibre in enumerate(fibres):
         lines.append(f"  subgraph cluster_{ci} {{")
         lines.append(f"    label={_dot_id(poset.carrier.label(ci))};")
-        for a in members:
+        for a in _bits(fibre):
             lines.append(f"    {_dot_id(p.carrier.label(a))};")
         lines.append("  }")
-    for a, b in sorted(_hasse_covers(poset)):
-        rep_a = _dot_id(p.carrier.label(classes[a][0]))
-        rep_b = _dot_id(p.carrier.label(classes[b][0]))
-        lines.append(f"  {rep_a} -> {rep_b} [ltail=cluster_{a}, lhead=cluster_{b}];")
+    # the generators leaving a class are its covers, between least members
+    for a, row in enumerate(pre.generators(p).rows):
+        ca = unit(a)
+        for b in _bits(row & ~fibres[ca]):
+            cb = unit(b)
+            tail, head = _dot_id(p.carrier.label(a)), _dot_id(p.carrier.label(b))
+            lines.append(f"  {tail} -> {head} [ltail=cluster_{ca}, lhead=cluster_{cb}];")
     lines.append("}")
     _emit("\n".join(lines), args.out)
     return 0

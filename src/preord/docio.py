@@ -1,25 +1,35 @@
 """Versioned text documents for preorders, spaces, and named morphisms.
 
-The format is line-oriented.  Edge lists are generators by default and the
-reflexive-transitive closure is applied on load; strict mode instead
-requires the listed edges to already be reflexive and transitive.  Saving
-emits the full closed relation, so saved documents load identically in
-either mode.
+The format is line-oriented.  An object's ``edge`` lines are generators:
+the loader applies the reflexive-transitive closure.  The header fixes
+what ``strict`` mode asks of them.
+
+* ``preord 2``, which ``dumps`` writes: the edges must be exactly the
+  canonical generators of their closure (``pretorsion.generators``), one
+  cycle through each core class of two or more members and one edge
+  between the least members of each covering pair of classes.  The first
+  edge that is not a generator is named.
+* ``preord 1``: the edges must already be reflexive and transitive.  The
+  first pair of the closure that is not an edge is named.
+
+Either way the non-strict load of a block is the closure of its edges, so a
+``preord 1`` document of closed pairs and the ``preord 2`` document
+``dumps`` writes for it load to the same objects, in both modes.
 
 The loader reads the text in one pass, keeping each block's lines, then
 ORs every edge straight into the bit row of its first point and closes the
-rows; the writer emits each bit row as its edge lines.  Every syntax error
-in the document is reported before any unknown point, and a block's
+rows; the writer emits each generator row as its edge lines.  Every syntax
+error in the document is reported before any unknown point, and a block's
 ``points`` may follow its ``edge`` lines.  ``oracle.dumps_by_pairs`` is the
 per-pair writer the fast one is checked against.
 
-    preord 1
+    preord 2
 
     object P
       points a b c
       edge a b
+      edge a c
       edge b a
-      edge b c
 
     space S
       points x y
@@ -37,6 +47,7 @@ from dataclasses import dataclass, field
 from typing import TextIO
 
 from .alexandroff import AlexandroffSpace
+from .pretorsion import generators
 from .relations import (
     FinPreorder,
     FinSet,
@@ -51,7 +62,8 @@ from .relations import (
 
 __all__ = ["Document", "DocumentError", "FORMAT_VERSION", "load", "loads", "save", "dumps"]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_READ_VERSIONS = ("1", "2")
 
 
 class DocumentError(Exception):
@@ -156,12 +168,22 @@ def _resolve(block: _Block, position: dict[str, int], label: str, lineno: int, w
     return position[label]
 
 
-def _build_preorder(block: _Block, strict: bool) -> FinPreorder:
+def _build_preorder(block: _Block, strict: bool, version: str) -> FinPreorder:
     """OR each edge into the row of its first point, then close the rows.
 
     Each point's bit is made once.  An unknown point stops the loop with a
     ``KeyError``; the edges are then walked again with ``_resolve``, which
     reports the first unknown point in document order.
+
+    In strict mode a ``preord 1`` block must list its closure, so the first
+    pair of the closure that is not an edge is named.  A ``preord 2`` block
+    must list the generators of its closure, so the first edge that is not
+    a generator is named; none can then be missing.  Every edge list with
+    closure ``q`` holds at least ``|C|`` edges inside each class ``C`` of
+    two or more members, which stays strongly connected only by paths inside
+    it, and an edge from ``[c]`` to ``[d]`` for each cover ``[c] < [d]``;
+    ``generators(q)`` has exactly that many, so a part of it that closes to
+    ``q`` is all of it.
     """
     carrier, position = _index_points(block)
     bit = {lab: 1 << i for lab, i in position.items()}
@@ -176,12 +198,16 @@ def _build_preorder(block: _Block, strict: bool) -> FinPreorder:
         raise
     raw = Relation(carrier, carrier, tuple(rows))
     closed = reflexive_transitive_closure(raw)
-    missing = _excess(closed.rel.rows, raw.rows) if strict else None
-    if missing is not None:
-        i, j = missing
+    if not strict:
+        return closed
+    if version == "1":
+        edge, problem = _excess(closed.rel.rows, raw.rows), "not closed: missing"
+    else:
+        edge, problem = _excess(raw.rows, generators(closed).rows), "not in generator form: extra"
+    if edge is not None:
+        i, j = edge
         raise DocumentError(
-            f"object {block.name!r} is not closed: missing edge "
-            f"{carrier.label(i)} {carrier.label(j)}",
+            f"object {block.name!r} is {problem} edge {carrier.label(i)} {carrier.label(j)}",
             block.line,
         )
     return closed
@@ -256,7 +282,8 @@ def _build_morphism(block: _Block, doc: Document) -> PreordMorphism:
 
 
 def loads(text: str, strict: bool = False) -> Document:
-    """Parse document text; applies closure to edge lists unless strict.
+    """Parse document text: each object is the closure of its edges, which
+    strict mode checks against the header (see the module docstring).
 
     One pass over the lines collects each block's lines and reports every
     syntax error; the objects, spaces and then morphisms are built after it,
@@ -269,12 +296,13 @@ def loads(text: str, strict: bool = False) -> Document:
         if not toks:
             continue
         if toks[0] != "preord" or len(toks) != 2:
-            raise DocumentError("expected version header 'preord 1'", lineno)
-        if toks[1] != str(FORMAT_VERSION):
+            raise DocumentError(f"expected version header 'preord {FORMAT_VERSION}'", lineno)
+        if toks[1] not in _READ_VERSIONS:
             raise DocumentError(f"unsupported format version {toks[1]!r}", lineno)
+        version = toks[1]
         break
     else:
-        raise DocumentError("empty document: missing version header 'preord 1'")
+        raise DocumentError(f"empty document: missing version header 'preord {FORMAT_VERSION}'")
     blocks: list[_Block] = []
     current: _Block | None = None
     obj: _Block | None = None  # the current block when it is an object
@@ -332,7 +360,7 @@ def loads(text: str, strict: bool = False) -> Document:
     doc = Document()
     for block in blocks:
         if block.kind == "object":
-            doc.add_preorder(block.name, _build_preorder(block, strict))
+            doc.add_preorder(block.name, _build_preorder(block, strict, version))
         elif block.kind == "space":
             doc.add_space(block.name, _build_space(block))
     for block in blocks:
@@ -354,10 +382,12 @@ def _labels(carrier: FinSet) -> list[str]:
 
 
 def dumps(doc: Document) -> str:
-    """Canonical text: sorted names, index-ordered points, sorted edges.
+    """Canonical ``preord 2`` text: sorted names, index-ordered points, and
+    each object's generators as sorted edges.
 
-    Each carrier's labels are looked up once; an object's edges are written
-    row by row, one line per set bit, which is the order of sorted pairs.
+    Each carrier's labels are looked up once; an object's generators are
+    written row by row, one line per set bit, which is the order of sorted
+    pairs.
     """
     out = [f"preord {FORMAT_VERSION}", ""]
     for name in sorted(doc.preorders):
@@ -365,7 +395,7 @@ def dumps(doc: Document) -> str:
         labels = _labels(p.carrier)
         out.append(f"object {name}")
         out.append(("  points " + " ".join(labels)).rstrip())
-        for i, row in enumerate(p.rel.rows):
+        for i, row in enumerate(generators(p).rows):
             head = f"  edge {labels[i]} "
             out += [head + labels[j] for j in _bits(row)]
         out.append("")

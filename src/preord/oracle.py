@@ -43,6 +43,7 @@ __all__ = [
     "compose_relations_slow",
     "or_rows_by_bits",
     "transpose_by_bits",
+    "generators_by_pairs",
     "dumps_by_pairs",
     "closure_slow",
     "transitive_by_pairs",
@@ -117,15 +118,44 @@ def transpose_by_bits(rows, width: int) -> tuple[int, ...]:
     return tuple(cols)
 
 
+def generators_by_pairs(p: FinPreorder) -> list[tuple[int, int]]:
+    """The canonical generators of ``p``, pair by pair: the slow counterpart
+    of ``pretorsion.generators``.  ``(a, b)`` is a cycle edge when ``b`` is
+    the member after ``a`` in its class of two or more members, the least
+    after the greatest; it is a Hasse edge when ``a`` and ``b`` are the least
+    members of their classes, ``a < b``, and no element lies strictly
+    between them."""
+    n, leq = p.size, p.leq
+
+    def below(a, b):
+        return leq(a, b) and not leq(b, a)
+
+    classes = [[c for c in range(n) if leq(a, c) and leq(c, a)] for a in range(n)]
+    edges = []
+    for a in range(n):
+        cls = classes[a]
+        for b in range(n):
+            if len(cls) > 1 and b == cls[(cls.index(a) + 1) % len(cls)]:
+                edges.append((a, b))
+            elif (
+                a == cls[0]
+                and b == classes[b][0]
+                and below(a, b)
+                and not any(below(a, c) and below(c, b) for c in range(n))
+            ):
+                edges.append((a, b))
+    return edges
+
+
 def dumps_by_pairs(doc) -> str:
     """Document text written pair by pair, each label looked up through its
     carrier: the slow counterpart of the row-wise ``docio.dumps``."""
-    out = ["preord 1", ""]
+    out = ["preord 2", ""]
     for name in sorted(doc.preorders):
         p = doc.preorders[name]
         out.append(f"object {name}")
         out.append(("  points " + " ".join(p.carrier.label(i) for i in range(p.size))).rstrip())
-        for i, j in p.rel.pairs():
+        for i, j in generators_by_pairs(p):
             out.append(f"  edge {p.carrier.label(i)} {p.carrier.label(j)}")
         out.append("")
     for name in sorted(doc.spaces):

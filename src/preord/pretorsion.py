@@ -20,6 +20,7 @@ from .relations import (
     _built,
     _excess,
     _fresh_carrier,
+    _or_rows,
     _row_owners,
     compose_morphisms,
     identity_map,
@@ -37,6 +38,7 @@ __all__ = [
     "NExactSequence",
     "Decomposition",
     "sym_core",
+    "generators",
     "reflect",
     "reflect_morphism",
     "in_ideal_N",
@@ -54,6 +56,39 @@ def sym_core(p: FinPreorder) -> Relation:
     in ``reflect``: row ``a`` is the mask of the elements sharing its row."""
     owners = _row_owners(p.rel.rows)
     return Relation(p.carrier, p.carrier, tuple(owners[row] for row in p.rel.rows))
+
+
+def generators(p: FinPreorder) -> Relation:
+    """The fewest edges whose reflexive-transitive closure is ``p``: a cycle
+    through each core class of two or more members, each member to the
+    next in index order and the last back to the first, and an edge from
+    the least member of ``[c]`` to the least member of ``[d]`` for each
+    covering pair ``[c] < [d]`` of the partial-order reflection.
+
+    The classes are read off equal rows, as in ``sym_core``, and the least
+    members stand for the reflection's points, so no quotient is built and
+    the edges come out at the indices of ``p``.  Row ``a`` of ``strict``
+    holds the least members strictly above ``a`` when ``a`` is a least
+    member and is empty otherwise; its composite with itself holds those
+    with a least member strictly between, so ``strict & ~(strict∘strict)``
+    are the covers.
+    """
+    rows = p.rel.rows
+    owners = _row_owners(rows)
+    least = 0
+    for members in owners.values():
+        least |= members & -members
+    strict = [
+        row & least & ~owners[row] if least >> a & 1 else 0
+        for a, row in enumerate(rows)
+    ]
+    edges = [s & ~between for s, between in zip(strict, _or_rows(strict, strict))]
+    for members in owners.values():
+        if members & (members - 1):
+            cycle = list(_bits(members))
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                edges[a] |= 1 << b
+    return Relation(p.carrier, p.carrier, tuple(edges))
 
 
 class Reflection(NamedTuple):

@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import alexandroff as alx
+from . import docio
 from . import factorization as fct
 from . import oracle
 from . import pretorsion as pre
@@ -197,6 +198,28 @@ def check_decomposition_roundtrip(p: FinPreorder) -> str | None:
     d2 = pre.decompose(pre.recompose(d))
     if d2 != d:
         return "decompose after recompose is not the identity"
+    return None
+
+
+def _object_document(p: FinPreorder) -> docio.Document:
+    """A document holding ``p`` alone, as the object ``P``."""
+    doc = docio.Document()
+    doc.add_preorder("P", p)
+    return doc
+
+
+def check_document_roundtrip(p: FinPreorder, text: str) -> str | None:
+    """``text``, written for ``_object_document(p)``, must be the per-pair
+    writer's text and load back to ``p`` under the strict reading, which
+    asks for exactly the generators of the closure."""
+    if text != oracle.dumps_by_pairs(_object_document(p)):
+        return "writer disagrees with the per-pair writer"
+    try:
+        again = docio.loads(text, strict=True).preorders.get("P")
+    except docio.DocumentError as exc:
+        return f"strict reload fails: {exc}"
+    if again != p:
+        return "strict reload is not the object"
     return None
 
 
@@ -473,6 +496,8 @@ def check_classify_continuous_agreement(f: PreordMorphism) -> str | None:
 
 
 _NO_MORE = object()
+# random objects, up to 40 points, whose documents the pretorsion suite checks
+_DOCUMENTED_RANDOM = 200
 
 
 def _sweep(report: SuiteReport, name: str, instances, checker) -> None:
@@ -502,7 +527,8 @@ def suite_pretorsion(
     seed: int = 0,
     kernel_samples: int = 120,
 ) -> SuiteReport:
-    """Splitting axioms: trivial homs, the canonical sequence, the reflection."""
+    """Splitting axioms: trivial homs, the canonical sequence, the reflection,
+    and documents written as the generators the splitting gives."""
     report = SuiteReport("pretorsion")
     rng = random.Random(seed)
     objects = _objects(max_n)
@@ -539,6 +565,13 @@ def suite_pretorsion(
     small = [f for f in morphisms if max(f.src.size, f.dst.size) <= 2]
     sampled = rng.sample(morphisms, min(kernel_samples, len(morphisms)))
     _sweep(report, "relative kernel universal property", small + sampled, check_kernel_universal)
+    documented = objects + list(_random_preorders(rng, _DOCUMENTED_RANDOM, 40))
+    _sweep(
+        report,
+        "documents round trip through generators",
+        documented,
+        lambda p: check_document_roundtrip(p, docio.dumps(_object_document(p))),
+    )
     return report
 
 

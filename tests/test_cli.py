@@ -1,11 +1,14 @@
+import hashlib
+import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from preord.cli import main
-from preord.docio import loads
-from preord import suites
+from preord.docio import Document, dumps, loads
+from preord import oracle, suites
 from preord.suites import (
     SuiteReport,
     _sweep,
@@ -34,6 +37,23 @@ morphism f P Q
   send a x
   send b x
   send c y
+"""
+
+RUNNING_DOT = """\
+digraph "P" {
+  compound=true;
+  rankdir=BT;
+  subgraph cluster_0 {
+    label="{a,b}";
+    "a";
+    "b";
+  }
+  subgraph cluster_1 {
+    label="{c}";
+    "c";
+  }
+  "a" -> "c" [ltail=cluster_0, lhead=cluster_1];
+}
 """
 
 
@@ -223,6 +243,50 @@ class TestExport:
         assert '    "b\\\\y";' in out
         assert '"q\\"x" -> "b\\\\y" [ltail=cluster_0, lhead=cluster_1];' in out
 
+    def test_dot_is_pinned_on_the_running_example(self, morphism_file, capsys):
+        assert main(["export", "--dot", morphism_file, "-o", "P"]) == 0
+        assert capsys.readouterr().out == RUNNING_DOT
+
+    def test_dot_is_pinned_on_the_dense_benchmark_document(self, tmp_path, capsys, monkeypatch):
+        """The DOT of the benchmark's dense document (seed 1: 500 points,
+        a 300-point core class, 195 cover edges), as the per-class column
+        walk over the quotient wrote it before the edges came from the
+        generators."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import workloads
+
+        f = workloads.planted_morphism(
+            random.Random("dense-cli:1"), workloads.Shape(500, 300, 95, 95), workloads.Shape(250, 5, 100, 100)
+        )
+        doc = Document()
+        doc.add_preorder("P", f.src)
+        path = tmp_path / "dense.preord"
+        path.write_text(dumps(doc))
+        assert main(["export", "--dot", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.count(" -> ") == 195
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "72e6a869a082e9dda1bbbf6f19e4ca3b4fa058a87e32f89fad93f0edd27d28e0"
+        )
+
+    def test_dot_edges_are_the_covers_between_least_members(self, tmp_path, capsys):
+        rng = random.Random(3)
+        for k in range(20):
+            p = oracle.random_preorder(rng, rng.randint(0, 25), edge_factor=rng.choice([0.5, 1.2, 3.0]))
+            doc = Document()
+            doc.add_preorder("P", p)
+            path = tmp_path / f"random{k}.preord"
+            path.write_text(dumps(doc))
+            assert main(["export", "--dot", str(path)]) == 0
+            unit = oracle.reflect_by_quotient(p).unit
+            expected = [
+                f'  "{p.carrier.label(a)}" -> "{p.carrier.label(b)}" '
+                f"[ltail=cluster_{unit(a)}, lhead=cluster_{unit(b)}];"
+                for a, b in oracle.generators_by_pairs(p)
+                if unit(a) != unit(b)
+            ]
+            assert [line for line in capsys.readouterr().out.splitlines() if " -> " in line] == expected
+
     def test_requires_dot_flag(self, running_file, capsys):
         assert main(["export", running_file]) == 2
 
@@ -253,12 +317,13 @@ class TestCheck:
             "ok   ideal membership agreement [69 instances]",
             "ok   decomposition round trip [6 instances]",
             "ok   relative kernel universal property [138 instances]",
-            "pass: suite pretorsion (8/8 checks)",
+            "ok   documents round trip through generators [206 instances]",
+            "pass: suite pretorsion (9/9 checks)",
         ]
 
     def test_empty_bound_checks_the_empty_preorder(self, capsys):
         assert main(["check", "--suite", "pretorsion", "--max-n", "0"]) == 0
-        assert capsys.readouterr().out.splitlines()[-1] == "pass: suite pretorsion (8/8 checks)"
+        assert capsys.readouterr().out.splitlines()[-1] == "pass: suite pretorsion (9/9 checks)"
 
     @pytest.mark.parametrize("suite, options", [
         (suite_factorization, dict(random_morphisms=2, cover_random=2, ortho_random=2, stability_samples=6)),
@@ -268,11 +333,12 @@ class TestCheck:
     def test_every_check_sees_an_instance_at_the_empty_bound(self, suite, options):
         assert suite(max_n=0, **options).ok
 
-    def test_a_check_that_saw_no_instance_fails(self):
+    def test_a_check_that_saw_no_instance_fails(self, monkeypatch):
+        monkeypatch.setattr(suites, "_DOCUMENTED_RANDOM", 0)
         report = suite_pretorsion(max_n=-1)
         assert not report.ok
         assert {check.detail for check in report.checks} == {"no instances were checked"}
-        assert report.lines()[-1] == "FAIL: suite pretorsion (0/8 checks)"
+        assert report.lines()[-1] == "FAIL: suite pretorsion (0/9 checks)"
 
     def test_a_raising_instance_stream_fails_its_check(self):
         def stream():

@@ -47,6 +47,32 @@ morphism f P Q
   send c y
 """
 
+# RUNNING as ``dumps`` writes it: the cycle a -> b -> a, then the cover {a,b} < {c}
+GENERATED = """\
+preord 2
+
+object P
+  points a b c
+  edge a b
+  edge a c
+  edge b a
+"""
+
+# RUNNING as every closed pair, under the old header
+CLOSED = """\
+preord 1
+
+object P
+  points a b c
+  edge a a
+  edge a b
+  edge a c
+  edge b a
+  edge b b
+  edge b c
+  edge c c
+"""
+
 
 HEAD = "preord 1\n"
 OBJ = HEAD + "object P\n  points a b\n"
@@ -54,10 +80,10 @@ TWO = OBJ + "object Q\n  points x y\n  edge x y\n"
 
 # (text, strict, the exact message, or None for a document that loads)
 ERRORS = {
-    "empty": ("", False, "empty document: missing version header 'preord 1'"),
-    "blank-and-comment-only": ("# nothing\n\n", False, "empty document: missing version header 'preord 1'"),
-    "missing-version": ("object P\n  points a\n", False, "line 1: expected version header 'preord 1'"),
-    "version-arity": ("preord 1 2\n", False, "line 1: expected version header 'preord 1'"),
+    "empty": ("", False, "empty document: missing version header 'preord 2'"),
+    "blank-and-comment-only": ("# nothing\n\n", False, "empty document: missing version header 'preord 2'"),
+    "missing-version": ("object P\n  points a\n", False, "line 1: expected version header 'preord 2'"),
+    "version-arity": ("preord 1 2\n", False, "line 1: expected version header 'preord 2'"),
     "unsupported-version": ("# c\npreord 9\n", False, "line 2: unsupported format version '9'"),
     "unknown-keyword": (OBJ + "  edges a b\n", False, "line 4: unknown keyword 'edges'"),
     "edge-before-object": (HEAD + "edge a b\n", False, "line 2: 'edge' outside an object block"),
@@ -84,6 +110,16 @@ ERRORS = {
         HEAD + "object P\n  points a b c\n  edge a a\n  edge b b\n  edge c c\n  edge a b\n  edge b c\n", True,
         "line 2: object 'P' is not closed: missing edge a c",
     ),
+    "strict-generators-extra-edge": (
+        GENERATED.replace("  edge b a\n", "  edge b a\n  edge b c\n"), True,
+        "line 3: object 'P' is not in generator form: extra edge b c",
+    ),
+    "strict-generators-cycle-in-reverse": (
+        "preord 2\nobject P\n  points a b c\n  edge a c\n  edge c b\n  edge b a\n", True,
+        "line 2: object 'P' is not in generator form: extra edge a c",
+    ),
+    "strict-generators-missing-cycle-edge": (GENERATED.replace("  edge b a\n", ""), True, None),
+    "generators-without-strict": (GENERATED.replace("  edge b a\n", "  edge b a\n  edge b c\n  edge c c\n"), False, None),
     "nbhd-outside-space": (OBJ + "  nbhd a a\n", False, "line 4: 'nbhd' outside a space block"),
     "nbhd-no-point": (HEAD + "space S\n  points x y\n  nbhd\n", False, "line 4: 'nbhd' takes a point and its members"),
     "nbhd-unknown-point": (HEAD + "space S\n  points x y\n  nbhd z x\n", False, "line 4: unknown point 'z' in nbhd of space 'S'"),
@@ -216,8 +252,35 @@ class TestStrictMode:
 
     def test_accepts_closed_relation(self):
         text = dumps(loads(RUNNING))
+        assert text.startswith("preord 2\n")
         doc = loads(text, strict=True)
         assert doc.preorders["P"] == loads(RUNNING).preorders["P"]
+
+    def test_closed_pairs_under_the_old_header_load_in_both_modes(self):
+        p = loads(RUNNING).preorders["P"]
+        for strict in (False, True):
+            assert loads(CLOSED, strict).preorders["P"] == p
+
+    def test_a_missing_generator_leaves_the_generators_of_another_object(self):
+        """Strict mode names extra edges only: every edge list closing to
+        ``q`` holds as many edges as ``generators(q)``, so dropping one
+        generator of any object on at most 3 points leaves exactly the
+        generators of another object, which loads strictly as that one."""
+        for p in (q for n in range(4) for q in oracle.enumerate_preorders(n)):
+            doc = Document()
+            doc.add_preorder("P", p)
+            lines = dumps(doc).splitlines()
+            for k, line in enumerate(lines):
+                if line.startswith("  edge "):
+                    text = "\n".join(lines[:k] + lines[k + 1:])
+                    again = loads(text, strict=True).preorders["P"]
+                    assert again != p and dumps(loads(text)) == text + "\n"
+
+    def test_generator_header_asks_for_the_generators_not_the_closure(self):
+        with pytest.raises(DocumentError, match="not in generator form: extra edge a a"):
+            loads(CLOSED.replace("preord 1", "preord 2"), strict=True)
+        with pytest.raises(DocumentError, match="not closed: missing edge a a"):
+            loads(GENERATED.replace("preord 2", "preord 1"), strict=True)
 
     def test_names_missing_transitive_edge(self):
         text = """\
@@ -258,7 +321,7 @@ class TestRoundTrip:
     def test_save_to_stream(self):
         buffer = io.StringIO()
         save(loads(RUNNING), buffer)
-        assert buffer.getvalue().startswith("preord 1")
+        assert buffer.getvalue() == GENERATED
 
     def test_morphism_ends_must_be_added_first(self):
         u = reflect(FinPreorder.chain(2))[1]
@@ -317,7 +380,7 @@ class TestLabels:
         doc.add_preorder("P", p)
         doc.add_space("S", preorder_to_space(p))
         doc.add_morphism("f", identity_morphism(p), "P", "P")
-        assert loads(dumps(doc)) == doc
+        assert loads(dumps(doc)) == doc == loads(dumps(doc), strict=True)
 
     @pytest.mark.parametrize("label", ["a#b", "#", "a b", ""])
     def test_labels_documents_cannot_carry_are_rejected(self, label):
@@ -412,7 +475,7 @@ def test_documents_agree_with_the_per_pair_oracle(seed):
     rng = random.Random(seed)
     doc = _random_document(rng)
     text = dumps(doc)
-    assert text == oracle.dumps_by_pairs(doc)
+    assert text.startswith("preord 2\n") and text == oracle.dumps_by_pairs(doc)
     for strict in (False, True):
         again = loads(text, strict)
         assert again == doc

@@ -1,4 +1,4 @@
-"""Ten hand-crafted corruptions, each caught by a verification check.
+"""Eleven hand-crafted corruptions, each caught by a verification check.
 
 Every mutation reimplements one operation with a plausible bug, produces
 its output, and feeds it through the same checks the suites run.  A
@@ -17,7 +17,8 @@ from preord.oracle import (
     compose_relations_slow,
     universal_pullback,
 )
-from preord.pretorsion import Reflection, reflect, reflect_morphism, sym_core
+from preord.oracle import enumerate_preorders
+from preord.pretorsion import Reflection, generators, reflect, reflect_morphism, sym_core
 from preord.relations import (
     FinPreorder,
     FinSet,
@@ -244,6 +245,37 @@ def test_mutation_pullback_dropping_element():
     ok, why = universal_pullback(f, g, obj, p1, p2)
     assert not ok
     assert "factors 0 times" in why
+
+
+# -- 11. document writer dropping the edge that closes each core cycle ---------
+
+def test_mutation_writer_drops_cycle_closing_edges():
+    def corrupt_dumps(doc):
+        out = ["preord 2", ""]
+        for name in sorted(doc.preorders):
+            p = doc.preorders[name]
+            rows = list(generators(p).rows)
+            for fibre in reflect(p).unit.map.preimage_masks():
+                members = list(_bits(fibre))
+                if len(members) > 1:
+                    rows[members[-1]] &= ~(1 << members[0])  # last back to first
+            labels = [p.carrier.label(i) for i in range(p.size)]
+            out += [f"object {name}", ("  points " + " ".join(labels)).rstrip()]
+            out += [f"  edge {labels[a]} {labels[b]}" for a, row in enumerate(rows) for b in _bits(row)]
+            out.append("")
+        return "\n".join(out)
+
+    from preord.docio import loads
+    from preord.suites import _object_document, check_document_roundtrip
+
+    p = FinPreorder.codiscrete(2)
+    text = corrupt_dumps(_object_document(p))
+    assert check_document_roundtrip(p, text) == "writer disagrees with the per-pair writer"
+    assert loads(text, strict=True).preorders["P"] != p  # the text is another object's
+    # the check fires on exactly the objects with a core class of two or more
+    for q in (q for n in range(4) for q in enumerate_preorders(n)):
+        failure = check_document_roundtrip(q, corrupt_dumps(_object_document(q)))
+        assert (failure is not None) == (not q.is_partial_order())
 
 
 def test_kernel_pair_mutation_is_covered_elsewhere():

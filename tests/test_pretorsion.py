@@ -1,4 +1,5 @@
 import gc
+import random
 import weakref
 
 import pytest
@@ -9,6 +10,9 @@ from preord import relations
 from preord.oracle import (
     enumerate_morphisms,
     enumerate_preorders,
+    generators_by_pairs,
+    random_preorder,
+    reflect_by_quotient,
     universal_n_cokernel,
     universal_n_kernel,
 )
@@ -16,6 +20,7 @@ from preord.pretorsion import (
     Decomposition,
     canonical_sequence,
     decompose,
+    generators,
     hom_is_trivial,
     ideal_factorization,
     in_ideal_N,
@@ -36,6 +41,7 @@ from preord.relations import (
     is_isomorphism,
     meet,
     opposite,
+    reflexive_transitive_closure,
     relation_predicates,
     relation_square_is_pullback,
 )
@@ -164,6 +170,49 @@ class TestReflect:
         decompose(p)
         sym_core(p)
         assert transposed == []  # each reads its classes off equal rows
+
+
+def _covers_by_pairs(poset):
+    """The covering pairs of a partial order: ``a < b`` with nothing strictly
+    between."""
+    n, leq = poset.size, poset.leq
+    return [
+        (a, b)
+        for a in range(n)
+        for b in range(n)
+        if a != b and leq(a, b) and not any(c not in (a, b) and leq(a, c) and leq(c, b) for c in range(n))
+    ]
+
+
+def _small_and_random_preorders():
+    rng = random.Random(0)
+    yield from (p for n in range(4) for p in enumerate_preorders(n))
+    for _ in range(60):
+        yield random_preorder(rng, rng.randint(0, 30), edge_factor=rng.choice([0.5, 1.2, 3.0]))
+
+
+class TestGenerators:
+    def test_running_example(self):
+        assert generators(running_example()).pairs() == ((0, 1), (0, 2), (1, 0))
+
+    def test_closure_count_and_per_pair_edges(self):
+        """The generators close to the object, number one per member of each
+        core class of two or more members plus one per cover of the
+        reflection, and are the edges the per-pair oracle picks."""
+        for p in _small_and_random_preorders():
+            gens = generators(p)
+            assert reflexive_transitive_closure(gens) == p
+            witness = reflect_by_quotient(p)
+            sizes = [fibre.bit_count() for fibre in witness.unit.map.preimage_masks()]
+            cycle_edges = sum(size for size in sizes if size > 1)
+            assert gens.count() == cycle_edges + len(_covers_by_pairs(witness.poset))
+            assert list(gens.pairs()) == generators_by_pairs(p)
+
+    def test_partial_orders_give_their_hasse_edges(self):
+        posets = [p for p in _small_and_random_preorders() if p.is_partial_order()]
+        posets += [reflect(p).poset for p in _small_and_random_preorders()]
+        for poset in posets:
+            assert list(generators(poset).pairs()) == _covers_by_pairs(poset)
 
 
 class TestIdeal:
