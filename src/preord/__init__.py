@@ -44,12 +44,6 @@ from .factorization import (
     reflective_factorization,
     verify_stable_units,
 )
-from .oracle import (
-    EnumerationCapError,
-    brute_force_in_N,
-    enumerate_morphisms,
-    enumerate_preorders,
-)
 from .pretorsion import (
     Decomposition,
     NExactSequence,
@@ -94,3 +88,30 @@ from .relations import (
 )
 
 __version__ = "0.1.0"
+
+# The oracle is the brute-force authority that only the suites and tests
+# call, so it and its exports are imported on first access (PEP 562): a
+# command that never checks does not compile it.
+_ORACLE_EXPORTS = (
+    "EnumerationCapError",
+    "brute_force_in_N",
+    "enumerate_morphisms",
+    "enumerate_preorders",
+)
+
+__all__ = sorted(
+    {name for name in globals() if not name.startswith("_")} | {"oracle", *_ORACLE_EXPORTS}
+)
+
+
+def __getattr__(name: str):
+    if name == "oracle" or name in _ORACLE_EXPORTS:
+        import importlib
+
+        oracle = importlib.import_module(".oracle", __name__)
+        return oracle if name == "oracle" else getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

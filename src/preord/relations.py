@@ -66,12 +66,15 @@ def _or_rows(rows: Sequence[int], table: Sequence[int]) -> tuple[int, ...]:
     ``j`` of ``rows[i]``: the bit-row kernel behind composition, direct and
     inverse image, pullbacks and the order checks.
 
-    Each distinct row ``r`` is computed once, in ascending order, so every
-    strict subset of ``r``, a smaller number, comes before it.  The walk
-    over ``r`` takes the lowest unreached bit ``k``, ORs in ``table[k]`` and
-    counts ``k`` as reached; when ``rows[k]`` is a strict subset of ``r``
-    (the guard), it also ORs in the result already computed for ``rows[k]``
-    and counts all of ``rows[k]`` as reached.
+    The rows are visited in ascending order of value, so every strict
+    subset of ``r``, a smaller number, comes before it; a row equal to the
+    one visited before it copies that result, so each distinct row is
+    computed once.  Results are kept by index, in a list aligned with
+    ``rows``.  The walk over ``r`` takes the lowest unreached bit ``k``, ORs
+    in ``table[k]`` and counts ``k`` as reached; when ``rows[k]`` is a
+    strict subset of ``r`` (the guard), it also ORs in ``out[k]``, the
+    result already computed for ``rows[k]``, and counts all of ``rows[k]``
+    as reached.
 
     Exact on every relation, by induction on the popcount of ``r``: every
     bit of ``r`` is reached either as some ``k``, whose ``table[k]`` is
@@ -92,24 +95,26 @@ def _or_rows(rows: Sequence[int], table: Sequence[int]) -> tuple[int, ...]:
     to one per related pair for a chain numbered from the top.
     """
     n = len(rows)
-    done: dict[int, int] = {}
-    for r in sorted(rows):
-        if r in done:
-            continue
-        acc = 0
-        rem = r
-        while rem:
-            low = rem & -rem
-            k = low.bit_length() - 1
-            acc |= table[k]
-            rem ^= low
-            if k < n:
-                sub = rows[k]
-                if sub != r and sub | r == r:
-                    acc |= done[sub]
-                    rem &= ~sub
-        done[r] = acc
-    return tuple([done[r] for r in rows])
+    out = [0] * n
+    prev = acc = None
+    for i in sorted(range(n), key=rows.__getitem__):
+        r = rows[i]
+        if r != prev:
+            prev = r
+            acc = 0
+            rem = r
+            while rem:
+                low = rem & -rem
+                k = low.bit_length() - 1
+                acc |= table[k]
+                rem ^= low
+                if k < n:
+                    sub = rows[k]
+                    if sub != r and sub | r == r:
+                        acc |= out[k]
+                        rem &= ~sub
+        out[i] = acc
+    return tuple(out)
 
 
 def _is_label(lab: object) -> bool:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import random
 import subprocess
@@ -6,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from preord.cli import main
+import preord
+from preord.cli import build_parser, main
 from preord.docio import Document, dumps, loads
 from preord import oracle, suites
 from preord.suites import (
@@ -366,6 +368,11 @@ class TestCheck:
         )
         assert lines[square + 1].startswith("ok   effective-descent covers (exhaustive)")
 
+    def test_suite_choices_are_the_suites(self):
+        commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        suite = next(a for a in commands.choices["check"]._actions if a.dest == "suite")
+        assert list(suite.choices) == sorted(suites.SUITES)
+
     def test_cap_error(self, capsys):
         assert main(["check", "--suite", "pretorsion", "--max-n", "7"]) == 2
         assert "cap" in capsys.readouterr().err
@@ -450,3 +457,73 @@ def test_module_entry_point(running_file):
     )
     assert proc.returncode == 0
     assert "P.quotient" in proc.stdout
+
+
+# the names ``from preord import *`` binds; the oracle's among them are
+# imported on first access
+PUBLIC_NAMES = """
+AlexandroffSpace ContinuousClassification ContinuousMap Cover Decomposition
+EnumerationCapError FactorizationResult FinPreorder FinSet MorphismClassification
+NExactSequence NKernel OrthogonalityError PreordMorphism Pullback Reflection
+Relation RelationPredicates SetMap T0Reflection alexandroff brute_force_in_N
+canonical_sequence check_orthogonality classify classify_continuous closure_of_point
+compose_morphisms compose_relations decompose direct_image effective_descent_cover
+enumerate_morphisms enumerate_preorders factorization fibre_poset_lemma generators
+graph_relation hom_is_trivial ideal_factorization identity_map identity_morphism
+in_ideal_N inverse_image is_T0 is_effective_descent is_fully_faithful is_in_E
+is_in_E_bar is_in_M is_in_M_star is_isomorphism is_partition is_pullback_square
+is_regular_epi kernel_pair meet min_open monotone_light_factorization n_kernel
+opposite oracle preord_pullback preorder_to_space pretorsion pullback_mono_check
+recompose reflect reflect_morphism reflective_factorization
+reflexive_transitive_closure relation_predicates relation_square_is_pullback
+relations space_to_preorder subspace sym_core t0_reflection verify_stable_units
+""".split()
+
+
+def _modules_after(*argvs):
+    """The ``preord.*`` modules a fresh interpreter holds after running each
+    argument list through ``cli.main``, which must return 0."""
+    script = (
+        "import contextlib, io, sys\n"
+        "from preord.cli import main\n"
+        f"for argv in {list(argvs)!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print(' '.join(sorted(name for name in sys.modules if name.startswith('preord.'))))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+class TestImportBoundary:
+    def test_commands_that_do_not_check_load_neither_suites_nor_oracle(self, morphism_file):
+        loaded = _modules_after(
+            ["reflect", morphism_file, "-o", "P"],
+            ["classify", morphism_file, "-m", "f"],
+            ["topology", morphism_file],
+        )
+        assert {"preord.cli", "preord.docio", "preord.alexandroff"} <= loaded
+        assert not loaded & {"preord.suites", "preord.oracle"}
+
+    def test_check_loads_the_suites_and_oracle(self):
+        loaded = _modules_after(["check", "--suite", "stable-units", "--max-n", "0"])
+        assert {"preord.suites", "preord.oracle"} <= loaded
+
+    def test_star_import_and_dir_keep_the_public_names(self):
+        namespace = {}
+        exec("from preord import *", namespace)
+        assert sorted(set(namespace) - {"__builtins__"}) == sorted(PUBLIC_NAMES)
+        assert set(PUBLIC_NAMES) <= set(dir(preord))
+
+    def test_oracle_exports_are_the_oracle_objects(self):
+        assert preord.oracle is oracle
+        for name in ("EnumerationCapError", "brute_force_in_N", "enumerate_morphisms", "enumerate_preorders"):
+            assert getattr(preord, name) is getattr(oracle, name)
+
+    def test_unknown_attribute_is_a_standard_attribute_error(self):
+        with pytest.raises(AttributeError, match="^module 'preord' has no attribute 'no_such_name'$"):
+            preord.no_such_name
+        assert not hasattr(preord, "no_such_name")
+        with pytest.raises(ImportError, match="cannot import name 'no_such_name'"):
+            exec("from preord import no_such_name", {})

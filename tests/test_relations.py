@@ -640,6 +640,24 @@ class TestCoveredKernel:
                 _assert_kernel_matches_bits(r)
         assert seen == 1 + 2 + 16 + 512
 
+    def test_or_rows_on_every_row_tuple_up_to_three_points(self):
+        """Every tuple of up to three rows over up to three points, against
+        singleton tables (whose answer is the rows), tables wider than the
+        rows, and the rows themselves when they can index their own bits."""
+        seen = 0
+        for n in range(4):
+            for width in range(4):
+                singletons = tuple(1 << j for j in range(width))
+                wide = tuple(0b101 << j for j in range(width + 2))
+                for combo in range(1 << (n * width)):
+                    rows = tuple(combo >> (i * width) & ((1 << width) - 1) for i in range(n))
+                    seen += 1
+                    assert _or_rows(rows, singletons) == rows
+                    assert _or_rows(rows, wide) == or_rows_by_bits(rows, wide)
+                    if width <= n:
+                        assert _or_rows(rows, rows) == or_rows_by_bits(rows, rows)
+        assert seen == 4 + 1 + 2 + 4 + 8 + 1 + 4 + 16 + 64 + 1 + 8 + 64 + 512
+
     def test_heterogeneous_two_by_three_and_three_by_two(self):
         wide = list(_all_relations(TWO, THREE))
         tall = list(_all_relations(THREE, TWO))
