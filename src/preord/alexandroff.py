@@ -220,10 +220,11 @@ def _fibres_trivial(f: ContinuousMap) -> bool:
 
 
 def _specializations_lift(f: ContinuousMap) -> bool:
-    """Every specialization in the target is the image of one in the source."""
-    covered = direct_image(f.map, space_to_preorder(f.src).rel).rows
-    closures = space_to_preorder(f.dst).rel.rows
-    return all(cl & ~cov == 0 for cl, cov in zip(closures, covered))
+    """Every specialization in the target is the image of one in the source,
+    tested as ``U' ⊆ f(U)`` on the neighborhood rows: specialization is the
+    opposite of that relation, and the direct image commutes with it."""
+    nbhds = Relation(f.src.carrier, f.src.carrier, f.src.min_nbhd)
+    return _excess(f.dst.min_nbhd, direct_image(f.map, nbhds).rows) is None
 
 
 def classify_continuous(f: ContinuousMap) -> ContinuousClassification:

@@ -98,23 +98,18 @@ def cmd_cover(args) -> int:
     return 0
 
 
-def _format_counterexample(f, flags, flag: str, ce: tuple[int, ...]) -> str:
+def _format_counterexample(f, flag: str, ce: tuple[int, ...]) -> str:
+    """A witness labelled by its shape: ``in_M`` names a source point, then
+    a target point; a single point, and every ``regular_epi`` and
+    ``effective_descent`` witness, name target points; the rest, source."""
     src = f.src.carrier.label
     dst = f.dst.carrier.label
-    if flag in ("fully_faithful", "in_M_star"):
-        parts = [src(x) for x in ce]
-    elif flag == "in_M":
-        parts = [src(ce[0])] + [dst(x) for x in ce[1:]]
-    elif flag in ("regular_epi", "effective_descent"):
+    if flag == "in_M":
+        parts = [src(ce[0]), dst(ce[1])]
+    elif len(ce) == 1 or flag in ("regular_epi", "effective_descent"):
         parts = [dst(x) for x in ce]
-    elif flag == "in_E":
-        # a fully-faithful failure names source elements; otherwise the
-        # witness was translated back to target representatives
-        parts = [src(x) if not flags.fully_faithful else dst(x) for x in ce]
-    elif flag == "in_E_bar":
-        parts = [dst(x) for x in ce] if len(ce) == 1 else [src(x) for x in ce]
     else:
-        parts = [str(x) for x in ce]
+        parts = [src(x) for x in ce]
     return "(" + ", ".join(parts) + ")"
 
 
@@ -129,7 +124,7 @@ def cmd_classify(args) -> int:
         line = f"{flag}: {str(value).lower()}"
         if not value:
             line += "  counterexample " + _format_counterexample(
-                f, flags, flag, flags.counterexamples[flag]
+                f, flag, flags.counterexamples[flag]
             )
         lines.append(line)
     _emit("\n".join(lines), args.out)

@@ -75,12 +75,15 @@ def is_fully_faithful(f: PreordMorphism) -> bool:
     return _fully_faithful_counterexample(f) is None
 
 
-def _regular_epi_counterexample(f: PreordMorphism) -> tuple[int, ...] | None:
-    hit = f.map.image_mask()
+def _least_outside(f: PreordMorphism, hit: int) -> tuple[int] | None:
+    """The least target point outside the mask ``hit``, or ``None``."""
     missed = ((1 << f.dst.size) - 1) & ~hit
-    if missed:
-        return (next(_bits(missed)),)
-    return _excess(f.dst.rel.rows, direct_image(f.map, f.src.rel).rows)
+    return ((missed & -missed).bit_length() - 1,) if missed else None
+
+
+def _regular_epi_counterexample(f: PreordMorphism) -> tuple[int, ...] | None:
+    missed = _least_outside(f, f.map.image_mask())
+    return missed or _excess(f.dst.rel.rows, direct_image(f.map, f.src.rel).rows)
 
 
 def is_regular_epi(f: PreordMorphism) -> bool:
@@ -92,18 +95,19 @@ def _in_E_counterexample(f: PreordMorphism) -> tuple[int, ...] | None:
     ce = _fully_faithful_counterexample(f)
     if ce is not None:
         return ce
-    induced = reflect_morphism(f)
-    ce = _regular_epi_counterexample(induced)
-    if ce is None:
-        return None
-    # translate reflected-class indices back to least target representatives
-    fibres = reflect(f.dst).unit.map.preimage_masks()
-    return tuple(next(_bits(fibres[c])) for c in ce)
+    core = sym_core(f.dst).rows
+    hit = 0
+    for v in f.map.values:
+        hit |= core[v]
+    return _least_outside(f, hit)
 
 
 def is_in_E(f: PreordMorphism) -> bool:
-    """Inverted by the reflection: fully faithful, and the induced map of
-    quotient posets is a surjection covering the quotient order."""
+    """Inverted by the reflection: fully faithful, and every core class of
+    the target holds an image point.  Exact, since a fully faithful ``f``
+    reflects ``[a] ≤ [a']``, so the induced map of quotient posets is an
+    isomorphism iff it is onto the classes.  A failure names the least
+    target point outside the hit classes, the least member of the first."""
     return _in_E_counterexample(f) is None
 
 
@@ -128,11 +132,7 @@ def is_in_M(f: PreordMorphism) -> bool:
 
 
 def _in_E_bar_counterexample(f: PreordMorphism) -> tuple[int, ...] | None:
-    hit = f.map.image_mask()
-    missed = ((1 << f.dst.size) - 1) & ~hit
-    if missed:
-        return (next(_bits(missed)),)
-    return _fully_faithful_counterexample(f)
+    return _least_outside(f, f.map.image_mask()) or _fully_faithful_counterexample(f)
 
 
 def is_in_E_bar(f: PreordMorphism) -> bool:

@@ -728,25 +728,27 @@ def is_pullback_square(
     """Whether a commuting square of monotone maps is a pullback.
 
     The square reads ``top: P -> Q``, ``left: P -> R``, ``right: Q -> S``,
-    ``bottom: R -> S``.  True iff the comparison into the computed pullback
-    of ``bottom`` and ``right`` is an isomorphism of preorders.
+    ``bottom: R -> S``.  True iff the comparison ``p ↦ (left p, top p)``
+    into the pullback of ``bottom`` and ``right`` is an isomorphism of
+    preorders, decided on the rows in hand.  It is a bijection onto the
+    pairs over a common point iff its pairs are distinct and there are
+    ``Σ_s |bottom⁻¹ s|·|right⁻¹ s|`` of them; it reflects the order iff
+    ``≤_P = left*(≤_R) ∩ top*(≤_Q)``, the componentwise order pulled back.
     """
     if top.src != left.src or top.dst != right.src:
         raise ValueError("square endpoints do not match")
     if left.dst != bottom.src or right.dst != bottom.dst:
         raise ValueError("square endpoints do not match")
-    if compose_morphisms(right, top).map != compose_morphisms(bottom, left).map:
+    down, across = right.map.values, bottom.map.values
+    if [down[q] for q in top.map.values] != [across[r] for r in left.map.values]:
         raise ValueError("square does not commute")
-    pb = preord_pullback(bottom, right)
-    index = {
-        (pb.p1(k), pb.p2(k)): k for k in range(pb.object.size)
-    }
-    apex = top.src
-    values = tuple(index[(left(p), top(p))] for p in range(apex.size))
-    if len(set(values)) != apex.size or apex.size != pb.object.size:
+    size = top.src.size
+    pairs = set(zip(left.map.values, top.map.values))
+    over = zip(bottom.map.preimage_masks(), right.map.preimage_masks())
+    if len(pairs) != size or sum(r.bit_count() * q.bit_count() for r, q in over) != size:
         return False
-    comparison = SetMap(apex.carrier, pb.object.carrier, values)
-    return inverse_image(comparison, pb.object.rel) == apex.rel
+    pulled = zip(_pulled_back(left), _pulled_back(top))
+    return tuple(r & q for r, q in pulled) == top.src.rel.rows
 
 
 def relation_square_is_pullback(f: SetMap, r: Relation, s: Relation) -> bool:

@@ -124,8 +124,6 @@ def check_reflection_parts(
         return "unit is not monotone"
     if not unit.is_surjective():
         return "unit is not surjective"
-    if inverse_image(unit.map, poset.rel) != p.rel:
-        return "unit square is not a pullback"
     if not relation_square_is_pullback(unit.map, p.rel, poset.rel):
         return "relation square over the unit is not a pullback"
     witness = oracle.reflect_by_quotient(p)
@@ -603,11 +601,11 @@ def suite_factorization(
     ]
     _sweep(report, "pullback-mono criterion", eq_morphisms, check_pullback_mono)
 
+    by_target: dict[FinPreorder, list[PreordMorphism]] = {}
+    for m in morphisms:
+        by_target.setdefault(m.dst, []).append(m)
     surjective_ff = [f for f in morphisms if fct.is_in_E_bar(f)]
-    stability_pairs = []
-    for e in surjective_ff:
-        for g in (m for m in morphisms if m.dst == e.dst):
-            stability_pairs.append((e, g))
+    stability_pairs = [(e, g) for e in surjective_ff for g in by_target[e.dst]]
     rng_pairs = rng.sample(stability_pairs, min(stability_samples, len(stability_pairs)))
     small_pairs = [
         (e, g) for (e, g) in stability_pairs if max(e.src.size, g.src.size) <= 2
@@ -649,8 +647,7 @@ def suite_factorization(
             continue
         if max(h.src.size, h.dst.size) > 2:
             continue
-        for g in (m for m in morphisms if m.dst == h.dst and m.src.size <= 2):
-            poset_pairs.append((h, g))
+        poset_pairs.extend((h, g) for g in by_target[h.dst] if g.src.size <= 2)
 
     def check_poset_pullback(pair):
         h, g = pair

@@ -192,6 +192,7 @@ def test_criterion_8_mutation_sensitivity():
         test_mutations.test_mutation_light_factorization_without_core,
         test_mutations.test_mutation_pullback_dropping_element,
         test_mutations.test_mutation_writer_drops_cycle_closing_edges,
+        test_mutations.test_mutation_pullback_square_without_order,
     ]
     caught = 0
     for mutation in mutations:

@@ -138,6 +138,24 @@ morphism g A B
         assert "in_E_bar: false  counterexample (p, q)" in out
         assert "in_E: false  counterexample (p, q)" in out
 
+    def test_missed_class_names_a_target_point(self, tmp_path, capsys):
+        # fully faithful, but the class of y holds no image point
+        text = """\
+preord 2
+object A
+  points a
+object B
+  points x y
+morphism g A B
+  send a x
+"""
+        path = tmp_path / "missed.preord"
+        path.write_text(text)
+        assert main(["classify", str(path), "-m", "g"]) == 0
+        out = capsys.readouterr().out
+        assert "fully_faithful: true" in out
+        assert "in_E: false  counterexample (y)" in out
+
 
 class TestFactor:
     def test_reflective(self, morphism_file, capsys):

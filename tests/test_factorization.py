@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -22,11 +24,17 @@ from preord.factorization import (
     verify_stable_units,
 )
 from preord import relations
-from preord.oracle import enumerate_morphisms, enumerate_preorders
+from preord.oracle import (
+    enumerate_morphisms,
+    enumerate_preorders,
+    random_preorder,
+    reflect_by_quotient,
+)
 from preord.pretorsion import n_kernel, reflect
 from preord.relations import (
     FinPreorder,
     PreordMorphism,
+    Relation,
     SetMap,
     _built,
     compose_morphisms,
@@ -149,6 +157,44 @@ class TestClassify:
                 in_M_star=True,
                 effective_descent=False,
             )
+
+
+def random_fully_faithful(rng, max_size):
+    """A seeded fully faithful map: points of a random target, repeats
+    allowed, carrying the order pulled back from it."""
+    dst = random_preorder(rng, rng.randint(1, max_size))
+    values = [rng.randrange(dst.size) for _ in range(rng.randint(0, max_size))]
+    carrier = FinPreorder.discrete(len(values)).carrier
+    rows = tuple(sum(1 << j for j, w in enumerate(values) if dst.leq(v, w)) for v in values)
+    return morph(FinPreorder(carrier, Relation(carrier, carrier, rows)), dst, values)
+
+
+class TestInEWitness:
+    @staticmethod
+    def missed_class(f):
+        """Whether ``f`` is fully faithful but not in E, and then the
+        witness must be the least target point of the first missed class of
+        the definitional quotient."""
+        if not is_fully_faithful(f) or is_in_E(f):
+            return False
+        (b,) = classify(f).counterexamples["in_E"]
+        unit = reflect_by_quotient(f.dst).unit
+        hit = {unit(f(a)) for a in range(f.src.size)}
+        assert unit(b) not in hit
+        assert all(unit(c) in hit for c in range(b))
+        return True
+
+    def test_every_small_map(self):
+        objects = [p for n in range(4) for p in enumerate_preorders(n)]
+        maps = [f for p in objects for q in objects for f in enumerate_morphisms(p, q)]
+        assert len(maps) == 11345
+        assert sum(map(self.missed_class, maps)) > 0
+
+    def test_seeded_fully_faithful_maps(self):
+        rng = random.Random(0)
+        maps = [random_fully_faithful(rng, 40) for _ in range(300)]
+        assert all(is_fully_faithful(f) for f in maps)
+        assert sum(map(self.missed_class, maps)) > 100
 
 
 class TestReflectiveFactorization:

@@ -1,4 +1,4 @@
-"""Eleven hand-crafted corruptions, each caught by a verification check.
+"""Twelve hand-crafted corruptions, each caught by a verification check.
 
 Every mutation reimplements one operation with a plausible bug, produces
 its output, and feeds it through the same checks the suites run.  A
@@ -276,6 +276,22 @@ def test_mutation_writer_drops_cycle_closing_edges():
     for q in (q for n in range(4) for q in enumerate_preorders(n)):
         failure = check_document_roundtrip(q, corrupt_dumps(_object_document(q)))
         assert (failure is not None) == (not q.is_partial_order())
+
+
+# -- 12. pullback-square test without the order comparison ---------------------
+
+def test_mutation_pullback_square_without_order():
+    def corrupt_is_pullback_square(top, left, right, bottom):
+        # the comparison into the pullback is a bijection; its order is unread
+        over = zip(bottom.map.preimage_masks(), right.map.preimage_masks())
+        pairs = set(zip(left.map.values, top.map.values))
+        return len(pairs) == top.src.size == sum(r.bit_count() * q.bit_count() for r, q in over)
+
+    from test_relations import pullback_square_mismatches
+
+    # the exhaustive square test fires on the squares that fail only on order
+    assert len(pullback_square_mismatches(corrupt_is_pullback_square)) == 988
+    assert pullback_square_mismatches(is_pullback_square) == []
 
 
 def test_kernel_pair_mutation_is_covered_elsewhere():

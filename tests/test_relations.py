@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import re
@@ -19,6 +20,7 @@ from preord.oracle import (
     or_rows_by_bits,
     transitive_by_pairs,
     transpose_by_bits,
+    universal_pullback,
 )
 from preord.relations import (
     _excess,
@@ -390,7 +392,51 @@ class TestPullbackUniversalProperty:
             assert ok, why
 
 
+@functools.lru_cache(maxsize=None)
+def small_commuting_squares():
+    """Every commuting square ``(top, left, right, bottom)`` of monotone maps
+    whose four corners have at most two points, each paired with the
+    reference verdict: the comparison ``p ↦ (left p, top p)`` into
+    ``preord_pullback(bottom, right)`` is an isomorphism."""
+    objects = [p for n in range(3) for p in enumerate_preorders(n)]
+    homs = {(i, j): list(enumerate_morphisms(a, b))
+            for i, a in enumerate(objects) for j, b in enumerate(objects)}
+    out = []
+    for s, r, q, p in itertools.product(range(len(objects)), repeat=4):
+        for bottom, right in itertools.product(homs[r, s], homs[q, s]):
+            for left, top in itertools.product(homs[p, r], homs[p, q]):
+                apex = objects[p]
+                if any(right(top(x)) != bottom(left(x)) for x in range(apex.size)):
+                    continue
+                pb = preord_pullback(bottom, right)
+                index = {(pb.p1(k), pb.p2(k)): k for k in range(pb.object.size)}
+                values = tuple(index[left(x), top(x)] for x in range(apex.size))
+                comparison = PreordMorphism(
+                    apex, pb.object, SetMap(apex.carrier, pb.object.carrier, values)
+                )
+                out.append(((top, left, right, bottom), is_isomorphism(comparison)))
+    return tuple(out)
+
+
+def pullback_square_mismatches(decide):
+    """The small commuting squares on which ``decide`` differs from the
+    reference verdict."""
+    return [sq for sq, expected in small_commuting_squares() if decide(*sq) != expected]
+
+
 class TestPullbackSquare:
+    def test_every_small_square_agrees_with_the_comparison(self):
+        squares = small_commuting_squares()
+        assert len(squares) == 14302
+        assert sum(expected for _, expected in squares) == 1333
+        assert pullback_square_mismatches(is_pullback_square) == []
+
+    def test_sampled_squares_agree_with_the_universal_property(self):
+        rng = random.Random(0)
+        for (top, left, right, bottom), _ in rng.sample(small_commuting_squares(), 300):
+            ok, why = universal_pullback(bottom, right, top.src, left, top)
+            assert is_pullback_square(top, left, right, bottom) == ok, why
+
     def test_kernel_pair_square(self):
         codisc = FinPreorder.codiscrete(2)
         f = _to_point(codisc)
