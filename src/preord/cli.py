@@ -15,7 +15,7 @@ import sys
 from . import alexandroff as alx
 from . import factorization as fct
 from . import pretorsion as pre
-from .docio import Document, DocumentError, load, save
+from .docio import Document, DocumentError, dumps, load
 from .relations import FinPreorder, _bits, _class_label
 
 __all__ = ["main"]
@@ -26,7 +26,7 @@ class UsageError(Exception):
 
 
 def _load(args) -> Document:
-    return load(args.file, strict=getattr(args, "strict", False))
+    return load(args.file, strict=args.strict)
 
 
 def _pick_object(doc: Document, name: str | None) -> tuple[str, FinPreorder]:
@@ -61,7 +61,7 @@ def cmd_reflect(args) -> int:
     out.add_preorder(name, p)
     out.add_preorder(f"{name}.quotient", poset)
     out.add_morphism(f"{name}.unit", unit, name, f"{name}.quotient")
-    _emit(save(out), args.out)
+    _emit(dumps(out), args.out)
     return 0
 
 
@@ -77,7 +77,7 @@ def cmd_sequence(args) -> int:
     out.add_morphism(f"{name}.unit", seq.free_part, name, f"{name}.quotient")
     classes = " ".join(_class_label(p.carrier, cls) for cls in seq.witness)
     _emit(f"# canonical short exact sequence of {name}\n"
-          f"# classes: {classes}\n" + save(out), args.out)
+          f"# classes: {classes}\n" + dumps(out), args.out)
     return 0
 
 
@@ -94,7 +94,7 @@ def cmd_cover(args) -> int:
         f"# effective-descent cover of {name}: {total.size} = 3 * {p.size} elements\n"
         "# projection is effective descent: true\n"
     )
-    _emit(header + save(out), args.out)
+    _emit(header + dumps(out), args.out)
     return 0
 
 
@@ -150,7 +150,7 @@ def cmd_factor(args) -> int:
         f"# certificate e: {e_class} = true\n"
         f"# certificate m: {m_class} = true\n"
     )
-    _emit(header + save(out), args.out)
+    _emit(header + dumps(out), args.out)
     return 0
 
 
@@ -187,7 +187,7 @@ def cmd_topology(args) -> int:
             args.out,
         )
         return 0 if all(verdicts.values()) else 1
-    _emit(save(out), args.out)
+    _emit(dumps(out), args.out)
     return 0
 
 
@@ -198,8 +198,7 @@ def _dot_id(text: str) -> str:
 
 def cmd_export(args) -> int:
     if not args.dot:
-        print("error: only DOT export is available; pass --dot", file=sys.stderr)
-        return 2
+        raise UsageError("only DOT export is available; pass --dot")
     doc = _load(args)
     name, p = _pick_object(doc, args.object)
     poset, unit = pre.reflect(p)

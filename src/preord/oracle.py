@@ -62,7 +62,7 @@ HARD_ENUMERATION_CAP = 4
 PROBE_CAP = 3
 # Open-set enumeration walks all 2**n subsets of the carrier.
 OPEN_SET_CAP = 12
-# Tries per strategy of ``random_monotone_map`` before its constant fallback.
+# Class-respecting tries of ``random_monotone_map`` before its greedy pass.
 MONOTONE_MAP_ATTEMPTS = 50
 
 
@@ -489,8 +489,12 @@ def random_monotone_map(
     """A random monotone map, or ``None`` when the target is empty.
 
     First tries class-respecting random assignments filtered for
-    monotonicity, then falls back to a greedy constrained assignment along a
-    linear extension, and finally to a constant map.
+    monotonicity, then makes one greedy constrained assignment along a
+    linear extension (up-sets largest first) inside the down-set of a point
+    ``t`` with the largest down-set.  The greedy pass cannot fail: when
+    ``a`` is placed, the placed points above it are its class-mates, and
+    the image of one is allowed; without one, only points below ``a``
+    constrain it, their images lie below ``t``, and ``t`` is allowed.
     """
     n, m = p.size, q.size
     if n == 0:
@@ -512,37 +516,27 @@ def random_monotone_map(
             return SetMap(p.carrier, q.carrier, tuple(values))
 
     order = sorted(range(n), key=lambda a: (-prows[a].bit_count(), a))
-    full = (1 << m) - 1
     qcols = opposite(q.rel).rows
-    for _ in range(MONOTONE_MAP_ATTEMPTS):
-        values = [-1] * n
-        ok = True
-        for a in order:
-            allowed = full
-            for b in order:
-                if values[b] < 0 or b == a:
-                    continue
-                if prows[b] >> a & 1:
-                    allowed &= qrows[values[b]]
-                if prows[a] >> b & 1:
-                    allowed &= qcols[values[b]]
-            if not allowed:
-                ok = False
-                break
-            choices = list(_bits(allowed))
-            values[a] = choices[rng.randrange(len(choices))]
-        if ok:
-            return SetMap(p.carrier, q.carrier, tuple(values))
-    return SetMap(p.carrier, q.carrier, (rng.randrange(m),) * n)
+    below_top = max(qcols, key=int.bit_count)
+    values = [-1] * n
+    for a in order:
+        allowed = below_top
+        for b in order:
+            if values[b] < 0 or b == a:
+                continue
+            if prows[b] >> a & 1:
+                allowed &= qrows[values[b]]
+            if prows[a] >> b & 1:
+                allowed &= qcols[values[b]]
+        choices = list(_bits(allowed))
+        values[a] = choices[rng.randrange(len(choices))]
+    return SetMap(p.carrier, q.carrier, tuple(values))
 
 
-def random_morphism(
-    rng: random.Random, max_size: int, edge_factor: float = 1.2
-) -> PreordMorphism:
+def random_morphism(rng: random.Random, max_size: int) -> PreordMorphism:
     """A random monotone map between two random preorders of size up to the bound."""
-    src = random_preorder(rng, rng.randint(0, max_size), edge_factor=edge_factor)
-    dst_size = rng.randint(1 if src.size else 0, max_size)
-    dst = random_preorder(rng, dst_size, edge_factor=edge_factor)
+    src = random_preorder(rng, rng.randint(0, max_size))
+    dst = random_preorder(rng, rng.randint(1 if src.size else 0, max_size))
     mapping = random_monotone_map(rng, src, dst)
     assert mapping is not None
     return PreordMorphism(src, dst, mapping)

@@ -125,7 +125,9 @@ def _is_label(lab: object) -> bool:
 
 def _fresh_carrier(candidates: list[str]) -> FinSet:
     """A carrier labelled by the candidates when they are valid and
-    distinct, and by the default labels otherwise."""
+    distinct, and by the default labels ``0 1 ...`` otherwise: built labels
+    can collide, as ``{a,b}`` for the class of ``a`` and ``b`` and for the
+    class of a point labelled ``a,b``."""
     try:
         return FinSet(len(candidates), tuple(candidates))
     except ValueError:
@@ -258,7 +260,7 @@ class Relation:
 
     def is_subrelation_of(self, other: "Relation") -> bool:
         _require_same_carriers(self, other)
-        return all(r & ~s == 0 for r, s in zip(self.rows, other.rows))
+        return _excess(self.rows, other.rows) is None
 
 
 def _transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
@@ -777,7 +779,9 @@ def row_classes(rows: Sequence[int]) -> list[list[int]]:
 
 def class_map(carrier: FinSet, classes: Sequence[Sequence[int]]) -> SetMap:
     """The map sending each element to the index of its class, onto a
-    carrier labelled ``{a,b}`` by the members of each class."""
+    carrier labelled ``{a,b}`` by the members of each class, or by the
+    default labels when two classes spell the same label (points ``a``,
+    ``b`` and ``a,b``, with ``a`` and ``b`` in one class)."""
     values = [0] * carrier.size
     for ci, cls in enumerate(classes):
         for a in cls:

@@ -494,8 +494,22 @@ def check_classify_continuous_agreement(f: PreordMorphism) -> str | None:
 
 
 _NO_MORE = object()
-# random objects, up to 40 points, whose documents the pretorsion suite checks
+# Sample counts and carrier bounds of the seeded random sweeps.  They are
+# read when a suite runs, so a run is named by its suite, max_n and seed.
+# pretorsion: sampled maps for the kernel property; objects, up to 40
+# points, whose documents are checked
+_KERNEL_SAMPLES = 120
 _DOCUMENTED_RANDOM = 200
+# factorization: random maps (count, size), covers and orthogonality
+# squares, and left-class stability pairs sampled from the exhaustive ones
+# (a third as many are drawn at random)
+_RANDOM_MORPHISMS, _RANDOM_MORPHISM_SIZE = 1000, 50
+_COVER_RANDOM, _COVER_SIZE = 500, 40
+_ORTHO_RANDOM, _ORTHO_SIZE = 200, 20
+_STABILITY_SAMPLES = 300
+# stable-units and alexandroff: random instances (count, size)
+_STABLE_RANDOM, _STABLE_SIZE = 1000, 20
+_SPACE_RANDOM, _SPACE_SIZE = 500, 50
 
 
 def _sweep(report: SuiteReport, name: str, instances, checker) -> None:
@@ -520,11 +534,7 @@ def _sweep(report: SuiteReport, name: str, instances, checker) -> None:
     report.add(name, None if count else "no instances were checked", f"{count} instances")
 
 
-def suite_pretorsion(
-    max_n: int = 3,
-    seed: int = 0,
-    kernel_samples: int = 120,
-) -> SuiteReport:
+def suite_pretorsion(max_n: int = 3, seed: int = 0) -> SuiteReport:
     """Splitting axioms: trivial homs, the canonical sequence, the reflection,
     and documents written as the generators the splitting gives."""
     report = SuiteReport("pretorsion")
@@ -561,7 +571,7 @@ def suite_pretorsion(
     _sweep(report, "ideal membership agreement", morphisms, check_ideal_agreement)
     _sweep(report, "decomposition round trip", objects, check_decomposition_roundtrip)
     small = [f for f in morphisms if max(f.src.size, f.dst.size) <= 2]
-    sampled = rng.sample(morphisms, min(kernel_samples, len(morphisms)))
+    sampled = rng.sample(morphisms, min(_KERNEL_SAMPLES, len(morphisms)))
     _sweep(report, "relative kernel universal property", small + sampled, check_kernel_universal)
     documented = objects + list(_random_preorders(rng, _DOCUMENTED_RANDOM, 40))
     _sweep(
@@ -573,17 +583,7 @@ def suite_pretorsion(
     return report
 
 
-def suite_factorization(
-    max_n: int = 3,
-    seed: int = 0,
-    random_morphisms: int = 1000,
-    random_size: int = 50,
-    cover_random: int = 500,
-    cover_size: int = 40,
-    ortho_random: int = 200,
-    ortho_size: int = 20,
-    stability_samples: int = 300,
-) -> SuiteReport:
+def suite_factorization(max_n: int = 3, seed: int = 0) -> SuiteReport:
     """Both factorization systems, the class detectors, covers, orthogonality."""
     report = SuiteReport("factorization")
     rng = random.Random(seed)
@@ -606,7 +606,7 @@ def suite_factorization(
         by_target.setdefault(m.dst, []).append(m)
     surjective_ff = [f for f in morphisms if fct.is_in_E_bar(f)]
     stability_pairs = [(e, g) for e in surjective_ff for g in by_target[e.dst]]
-    rng_pairs = rng.sample(stability_pairs, min(stability_samples, len(stability_pairs)))
+    rng_pairs = rng.sample(stability_pairs, min(_STABILITY_SAMPLES, len(stability_pairs)))
     small_pairs = [
         (e, g) for (e, g) in stability_pairs if max(e.src.size, g.src.size) <= 2
     ]
@@ -622,7 +622,7 @@ def suite_factorization(
 
     def random_stability_pairs():
         produced = 0
-        while produced < stability_samples // 3:
+        while produced < _STABILITY_SAMPLES // 3:
             base = oracle.random_preorder(rng, rng.randint(0, 15))
             e = oracle.random_core_refinement(rng, base)
             z = oracle.random_preorder(rng, rng.randint(0, 15))
@@ -669,9 +669,9 @@ def suite_factorization(
            morphisms, check_factorization_uniqueness)
 
     def random_squares():
-        for _ in range(ortho_random):
-            f = oracle.random_morphism(rng, ortho_size)
-            g = oracle.random_morphism(rng, ortho_size)
+        for _ in range(_ORTHO_RANDOM):
+            f = oracle.random_morphism(rng, _ORTHO_SIZE)
+            g = oracle.random_morphism(rng, _ORTHO_SIZE)
             ef = fct.monotone_light_factorization(f)
             mg = fct.monotone_light_factorization(g)
             w_map = oracle.random_monotone_map(rng, ef.mid, mg.mid)
@@ -691,11 +691,11 @@ def suite_factorization(
     _sweep(report, "effective-descent covers (exhaustive)", objects, check_cover)
 
     _sweep(report, "effective-descent covers (random)",
-           _random_preorders(rng, cover_random, cover_size), check_cover)
+           _random_preorders(rng, _COVER_RANDOM, _COVER_SIZE), check_cover)
 
     def random_morphism_stream():
-        for _ in range(random_morphisms):
-            yield oracle.random_morphism(rng, random_size)
+        for _ in range(_RANDOM_MORPHISMS):
+            yield oracle.random_morphism(rng, _RANDOM_MORPHISM_SIZE)
 
     def check_random_morphism(f):
         failure = check_factorizations(f)
@@ -708,12 +708,7 @@ def suite_factorization(
     return report
 
 
-def suite_stable_units(
-    max_n: int = 3,
-    seed: int = 0,
-    random_instances: int = 1000,
-    random_size: int = 20,
-) -> SuiteReport:
+def suite_stable_units(max_n: int = 3, seed: int = 0) -> SuiteReport:
     """The reflection preserves pullbacks along its unit components."""
     report = SuiteReport("stable-units")
     rng = random.Random(seed)
@@ -735,10 +730,10 @@ def suite_stable_units(
 
     def randoms():
         produced = 0
-        while produced < random_instances:
-            x = oracle.random_preorder(rng, rng.randint(0, random_size))
+        while produced < _STABLE_RANDOM:
+            x = oracle.random_preorder(rng, rng.randint(0, _STABLE_SIZE))
             poset = pre.reflect(x).poset
-            z = oracle.random_preorder(rng, rng.randint(0, random_size))
+            z = oracle.random_preorder(rng, rng.randint(0, _STABLE_SIZE))
             g_map = oracle.random_monotone_map(rng, z, poset)
             if g_map is None:
                 continue
@@ -754,12 +749,7 @@ def suite_stable_units(
     return report
 
 
-def suite_alexandroff(
-    max_n: int = 3,
-    seed: int = 0,
-    random_instances: int = 500,
-    random_size: int = 50,
-) -> SuiteReport:
+def suite_alexandroff(max_n: int = 3, seed: int = 0) -> SuiteReport:
     """The space dictionary: round trips, opens, and flag agreement."""
     report = SuiteReport("alexandroff")
     rng = random.Random(seed)
@@ -769,7 +759,7 @@ def suite_alexandroff(
     _sweep(report, "round trips (exhaustive)", objects, check_space_roundtrip)
 
     _sweep(report, "round trips (random)",
-           _random_preorders(rng, random_instances, random_size), check_space_roundtrip)
+           _random_preorders(rng, _SPACE_RANDOM, _SPACE_SIZE), check_space_roundtrip)
     _sweep(
         report,
         "monotone maps are exactly continuous maps",
@@ -781,7 +771,7 @@ def suite_alexandroff(
     _sweep(report, "T0/partition dual tests (exhaustive)", objects, check_topology_predicates)
 
     _sweep(report, "T0/partition dual tests (random)",
-           _random_preorders(rng, random_instances, random_size), check_topology_predicates)
+           _random_preorders(rng, _SPACE_RANDOM, _SPACE_SIZE), check_topology_predicates)
     _sweep(report, "T0 reflection matches order reflection",
            objects, check_t0_reflection_agreement)
     _sweep(report, "continuous classification matches order classification",

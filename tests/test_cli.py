@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import inspect
 import random
 import subprocess
 import sys
@@ -254,6 +255,10 @@ class TestExport:
         assert 'label="{a,b}"' in out
         assert '"a" -> "c" [ltail=cluster_0, lhead=cluster_1];' in out
 
+    def test_export_without_dot_is_a_usage_error(self, running_file, capsys):
+        assert main(["export", running_file]) == 2
+        assert capsys.readouterr() == ("", "error: only DOT export is available; pass --dot\n")
+
     def test_quotes_and_backslashes_are_escaped(self, tmp_path, capsys):
         path = tmp_path / "quoted.preord"
         path.write_text('preord 1\nobject P\n  points q"x b\\y\n  edge q"x b\\y\n')
@@ -325,6 +330,10 @@ class TestExport:
         assert all((dst, src) not in edges for src, dst in edges)
 
 
+# sample counts that shrink the factorization suite's random sweeps to a few instances
+SMALL_FACTORIZATION = dict(_RANDOM_MORPHISMS=2, _COVER_RANDOM=2, _ORTHO_RANDOM=2, _STABILITY_SAMPLES=6)
+
+
 class TestCheck:
     def test_small_suite_passes(self, capsys):
         assert main(["check", "--suite", "pretorsion", "--max-n", "2"]) == 0
@@ -346,12 +355,18 @@ class TestCheck:
         assert capsys.readouterr().out.splitlines()[-1] == "pass: suite pretorsion (9/9 checks)"
 
     @pytest.mark.parametrize("suite, options", [
-        (suite_factorization, dict(random_morphisms=2, cover_random=2, ortho_random=2, stability_samples=6)),
-        (suite_stable_units, dict(random_instances=2)),
-        (suite_alexandroff, dict(random_instances=2)),
+        (suite_factorization, SMALL_FACTORIZATION),
+        (suite_stable_units, dict(_STABLE_RANDOM=2)),
+        (suite_alexandroff, dict(_SPACE_RANDOM=2)),
     ])
-    def test_every_check_sees_an_instance_at_the_empty_bound(self, suite, options):
-        assert suite(max_n=0, **options).ok
+    def test_every_check_sees_an_instance_at_the_empty_bound(self, suite, options, monkeypatch):
+        for name, value in options.items():
+            monkeypatch.setattr(suites, name, value)
+        assert suite(max_n=0).ok
+
+    def test_a_suite_is_named_by_its_bound_and_seed(self):
+        for suite in suites.SUITES.values():
+            assert list(inspect.signature(suite).parameters) == ["max_n", "seed"]
 
     def test_a_check_that_saw_no_instance_fails(self, monkeypatch):
         monkeypatch.setattr(suites, "_DOCUMENTED_RANDOM", 0)
@@ -379,7 +394,9 @@ class TestCheck:
             raise RuntimeError("no factorization")
 
         monkeypatch.setattr(suites.fct, "monotone_light_factorization", broken)
-        report = suite_factorization(max_n=0, random_morphisms=2, cover_random=2, ortho_random=2, stability_samples=6)
+        for name, value in SMALL_FACTORIZATION.items():
+            monkeypatch.setattr(suites, name, value)
+        report = suite_factorization(max_n=0)
         lines = report.lines()
         square = lines.index(
             "FAIL orthogonality on random squares: instance 1: raised RuntimeError('no factorization')"

@@ -382,6 +382,22 @@ class TestLabels:
         doc.add_morphism("f", identity_morphism(p), "P", "P")
         assert loads(dumps(doc)) == doc == loads(dumps(doc), strict=True)
 
+    def test_colliding_class_labels_fall_back_to_default_labels(self):
+        """``a`` and ``b`` form the class ``{a,b}``, and so does the point
+        ``a,b`` alone: the quotient's labels would collide, so it takes the
+        default labels, and its document still loads back."""
+        p = loads("preord 1\nobject P\n  points a b a,b\n  edge a b\n  edge b a\n").preorders["P"]
+        poset, unit = reflect(p)
+        assert poset.carrier == FinSet(2)
+        doc = Document()
+        doc.add_preorder("P", p)
+        doc.add_preorder("Q", poset)
+        doc.add_morphism("u", unit, "P", "Q")
+        text = dumps(doc)
+        assert "object Q\n  points 0 1\n" in text
+        assert loads(text) == doc == loads(text, strict=True)
+        assert dumps(loads(text)) == text
+
     @pytest.mark.parametrize("label", ["a#b", "#", "a b", ""])
     def test_labels_documents_cannot_carry_are_rejected(self, label):
         with pytest.raises(ValueError, match="printable token"):

@@ -1,3 +1,4 @@
+import inspect
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from preord.oracle import (
     enumerate_morphisms,
     enumerate_preorders,
     enumerate_preorders_by_closure,
+    monotone_by_pairs,
     random_monotone_map,
     random_morphism,
     random_preorder,
@@ -167,6 +169,9 @@ class TestRandomGenerators:
         g = random_morphism(random.Random(5), 10)
         assert f.map == g.map
 
+    def test_random_morphism_takes_only_a_seed_stream_and_a_bound(self):
+        assert list(inspect.signature(random_morphism).parameters) == ["rng", "max_size"]
+
     def test_random_maps_are_monotone(self):
         rng = random.Random(11)
         for _ in range(50):
@@ -174,6 +179,18 @@ class TestRandomGenerators:
             q = random_preorder(rng, rng.randint(1, 15))
             mapping = random_monotone_map(rng, p, q)
             PreordMorphism(p, q, mapping)  # validates monotonicity
+
+    def test_random_maps_on_50_points_are_rarely_constant(self):
+        """Neither strategy falls back to a constant map: 200 draws between
+        random 50-point preorders are monotone, and at most 5 % constant."""
+        rng = random.Random(0)
+        constant = 0
+        for _ in range(200):
+            p, q = random_preorder(rng, 50), random_preorder(rng, 50)
+            values = random_monotone_map(rng, p, q).values
+            assert monotone_by_pairs(p.rel.rows, q.rel.rows, values)
+            constant += len(set(values)) == 1
+        assert constant <= 10
 
     def test_empty_target(self):
         rng = random.Random(1)
