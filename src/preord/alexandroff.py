@@ -84,18 +84,18 @@ class AlexandroffSpace:
 
 def preorder_to_space(p: FinPreorder) -> AlexandroffSpace:
     """Topologize a preorder: opens are the down-closed sets, so the minimal
-    neighborhood of a point collects everything below it.  Down-sets of a
-    preorder are nested, so the space is built unchecked."""
-    return _built(AlexandroffSpace, p.carrier, opposite(p.rel).rows)
+    neighborhood of a point collects everything below it, its column of
+    ``≤``.  Down-sets of a preorder are nested, so the space is built
+    unchecked."""
+    return _built(AlexandroffSpace, p.carrier, p.rel.columns())
 
 
 def space_to_preorder(s: AlexandroffSpace) -> FinPreorder:
     """The specialization preorder: ``x`` below ``y`` iff ``y`` lies in the
     closure of ``x``, i.e. ``x`` is in every neighborhood of ``y``.  Nested
-    neighborhoods give a preorder, built unchecked."""
-    rel = opposite(
-        Relation(s.carrier, s.carrier, s.min_nbhd)
-    )
+    neighborhoods give a preorder, built unchecked, as is the relation of
+    the validated neighborhood rows it transposes."""
+    rel = opposite(_built(Relation, s.carrier, s.carrier, s.min_nbhd))
     return _built(FinPreorder, s.carrier, rel)
 
 
@@ -171,16 +171,18 @@ def t0_reflection(s: AlexandroffSpace) -> T0Reflection:
     """Identify points with equal minimal neighborhoods (equivalently, equal
     closures); the quotient is the finest T0 image and the projection is
     continuous.  Any member of a class may stand for it, as in
-    ``relations.quotient``, so both are built unchecked."""
+    ``relations.quotient``, so both are built unchecked, as is the relation
+    of the validated neighborhood rows pushed forward."""
     q = class_map(s.carrier, row_classes(s.min_nbhd))
-    nbhds = direct_image(q, Relation(s.carrier, s.carrier, s.min_nbhd)).rows
+    nbhds = direct_image(q, _built(Relation, s.carrier, s.carrier, s.min_nbhd)).rows
     quotient = _built(AlexandroffSpace, q.cod, nbhds)
     return T0Reflection(quotient, _built(ContinuousMap, s, quotient, q))
 
 
 def subspace(s: AlexandroffSpace, points: Iterable[int]) -> AlexandroffSpace:
     """The subspace on ``points`` with neighborhoods cut down by
-    intersection, which keeps them nested; built unchecked."""
+    intersection, which keeps them nested; built unchecked, with its carrier
+    of labels copied from ``s``."""
     members = sorted(set(points))
     for x in members:
         if not 0 <= x < s.size:
@@ -222,8 +224,9 @@ def _fibres_trivial(f: ContinuousMap) -> bool:
 def _specializations_lift(f: ContinuousMap) -> bool:
     """Every specialization in the target is the image of one in the source,
     tested as ``U' ⊆ f(U)`` on the neighborhood rows: specialization is the
-    opposite of that relation, and the direct image commutes with it."""
-    nbhds = Relation(f.src.carrier, f.src.carrier, f.src.min_nbhd)
+    opposite of that relation, and the direct image commutes with it.  The
+    source's rows are validated, so their relation is built unchecked."""
+    nbhds = _built(Relation, f.src.carrier, f.src.carrier, f.src.min_nbhd)
     return _excess(f.dst.min_nbhd, direct_image(f.map, nbhds).rows) is None
 
 

@@ -287,8 +287,8 @@ def reflective_factorization(f: PreordMorphism) -> FactorizationResult:
 
     The first leg is inverted by the reflection; the second is a trivial
     covering (it is a pullback of a partial-order morphism).  The first leg
-    pairs two monotone maps into the pullback; it and the result are built
-    unchecked.
+    pairs two monotone maps into the pullback, its values indices of pairs
+    in it; it, its map and the result are built unchecked.
     """
     _, unit_src = reflect(f.src)
     _, unit_dst = reflect(f.dst)
@@ -299,7 +299,8 @@ def reflective_factorization(f: PreordMorphism) -> FactorizationResult:
         PreordMorphism,
         f.src,
         pb.object,
-        SetMap(
+        _built(
+            SetMap,
             f.src.carrier,
             pb.object.carrier,
             tuple(index[(unit_src(a), f(a))] for a in range(f.src.size)),
@@ -314,12 +315,14 @@ def monotone_light_factorization(f: PreordMorphism) -> FactorizationResult:
     The quotient leg is surjective and fully faithful; the remaining leg is
     a covering, as no two classes in a fibre are core-related.  The classes
     lie in the kernel pair and the symmetric core, so ``m([a]) = f(a)`` is
-    well defined and monotone; it and the result are built unchecked.
+    well defined and monotone; it, its map and the result are built
+    unchecked.
     """
     classes = row_classes(meet(kernel_pair(f.map), sym_core(f.src)).rows)
     e = quotient(f.src, classes)
     m_values = tuple(f(cls[0]) for cls in classes)
-    m = _built(PreordMorphism, e.dst, f.dst, SetMap(e.dst.carrier, f.dst.carrier, m_values))
+    m_map = _built(SetMap, e.dst.carrier, f.dst.carrier, m_values)
+    m = _built(PreordMorphism, e.dst, f.dst, m_map)
     return _built(FactorizationResult, e.dst, e, m, "monotone-light")
 
 
@@ -366,7 +369,8 @@ def effective_descent_cover(b: FinPreorder) -> Cover:
     ordered by (strict class order, level, equality), so it has exactly
     ``3 * |b|`` elements and is antisymmetric; chains in ``b`` lift level
     by level.  Levels are serialized 1..3.  That order is a preorder sent
-    monotonically onto ``b``, so both are built unchecked.
+    monotonically onto ``b``, each point to the member it copies, so both
+    are built unchecked, with their relation, map and carrier.
     """
     poset, unit = reflect(b)
     classes = [list(_bits(fibre)) for fibre in unit.map.preimage_masks()]
@@ -380,8 +384,8 @@ def effective_descent_cover(b: FinPreorder) -> Cover:
             values.extend(cls)
     carrier = _fresh_carrier(names)
     rows = _cover_rows(poset, [len(cls) for cls in classes])
-    total = _built(FinPreorder, carrier, Relation(carrier, carrier, rows))
-    projection = _built(PreordMorphism, total, b, SetMap(carrier, b.carrier, tuple(values)))
+    total = _built(FinPreorder, carrier, _built(Relation, carrier, carrier, rows))
+    projection = _built(PreordMorphism, total, b, _built(SetMap, carrier, b.carrier, tuple(values)))
     return Cover(total, projection)
 
 

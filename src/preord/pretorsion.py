@@ -53,9 +53,20 @@ __all__ = [
 
 def sym_core(p: FinPreorder) -> Relation:
     """The largest equivalence relation inside ``p``, read off equal rows as
-    in ``reflect``: row ``a`` is the mask of the elements sharing its row."""
-    owners = _row_owners(p.rel.rows)
-    return Relation(p.carrier, p.carrier, tuple(owners[row] for row in p.rel.rows))
+    in ``reflect``: row ``a`` is the mask of the elements sharing its row,
+    so it is built unchecked.
+
+    Memoised on the relation ``p.rel``, outside its dataclass fields, so the
+    copies ``reflect`` makes share it.  The core is always a new relation,
+    never ``p.rel`` itself, so the memo does not reach back to its owner.
+    """
+    rel = p.rel
+    core = rel.__dict__.get("_sym_core")
+    if core is None:
+        owners = _row_owners(rel.rows)
+        core = _built(Relation, rel.src, rel.src, tuple(owners[row] for row in rel.rows))
+        object.__setattr__(rel, "_sym_core", core)
+    return core
 
 
 def generators(p: FinPreorder) -> Relation:
@@ -71,7 +82,8 @@ def generators(p: FinPreorder) -> Relation:
     holds the least members strictly above ``a`` when ``a`` is a least
     member and is empty otherwise; its composite with itself holds those
     with a least member strictly between, so ``strict & ~(strict∘strict)``
-    are the covers.
+    are the covers.  Every edge joins two elements of ``p``, so the
+    relation is built unchecked.
     """
     rows = p.rel.rows
     owners = _row_owners(rows)
@@ -88,7 +100,7 @@ def generators(p: FinPreorder) -> Relation:
             cycle = list(_bits(members))
             for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                 edges[a] |= 1 << b
-    return Relation(p.carrier, p.carrier, tuple(edges))
+    return _built(Relation, p.carrier, p.carrier, tuple(edges))
 
 
 class Reflection(NamedTuple):
@@ -124,14 +136,24 @@ def reflect(p: FinPreorder) -> Reflection:
 
 def reflect_morphism(f: PreordMorphism) -> PreordMorphism:
     """The induced map between the partial-order reflections of the
-    endpoints, monotone since ``[a] ≤ [b]`` iff ``a ≤ b``; built unchecked."""
-    src_poset, src_unit = reflect(f.src)
-    dst_poset, dst_unit = reflect(f.dst)
-    values = [0] * src_poset.size
-    for a in range(f.src.size):
-        values[src_unit(a)] = dst_unit(f(a))
-    induced = SetMap(src_poset.carrier, dst_poset.carrier, tuple(values))
-    return _built(PreordMorphism, src_poset, dst_poset, induced)
+    endpoints, monotone since ``[a] ≤ [b]`` iff ``a ≤ b``; it and its map,
+    whose values are class indices of the target, are built unchecked.
+
+    Memoised on ``f``, outside its dataclass fields.  The induced map runs
+    between the two reflections, which never reach back to ``f``.
+    """
+    induced = f.__dict__.get("_reflected")
+    if induced is None:
+        src_poset, src_unit = reflect(f.src)
+        dst_poset, dst_unit = reflect(f.dst)
+        dst_class = dst_unit.map.values
+        values = [0] * src_poset.size
+        for c, v in zip(src_unit.map.values, f.map.values):
+            values[c] = dst_class[v]
+        mapping = _built(SetMap, src_poset.carrier, dst_poset.carrier, tuple(values))
+        induced = _built(PreordMorphism, src_poset, dst_poset, mapping)
+        object.__setattr__(f, "_reflected", induced)
+    return induced
 
 
 def in_ideal_N(f: PreordMorphism) -> bool:
@@ -157,7 +179,8 @@ def ideal_factorization(f: PreordMorphism) -> IdealFactorization | None:
     Returns ``None`` when ``f`` does not collapse every related pair.  No
     minimality of the discrete middle object is claimed.  The collapse is
     monotone as ``f`` collapses related pairs, and so is any map out of a
-    discrete object; all three parts are built unchecked.
+    discrete object; all three parts, their maps (positions in the image,
+    and image points) and the carrier are built unchecked.
     """
     if not in_ideal_N(f):
         return None
@@ -169,10 +192,10 @@ def ideal_factorization(f: PreordMorphism) -> IdealFactorization | None:
         PreordMorphism,
         f.src,
         mid,
-        SetMap(f.src.carrier, mid.carrier, tuple(position[v] for v in f.map.values)),
+        _built(SetMap, f.src.carrier, mid.carrier, tuple(position[v] for v in f.map.values)),
     )
     embed = _built(
-        PreordMorphism, mid, f.dst, SetMap(mid.carrier, f.dst.carrier, tuple(image))
+        PreordMorphism, mid, f.dst, _built(SetMap, mid.carrier, f.dst.carrier, tuple(image))
     )
     return IdealFactorization(mid, collapse, embed)
 

@@ -10,11 +10,20 @@ threads.
 Elements are canonical indices ``0..size-1``; labels are presentation-only
 metadata carried along for display and serialization.
 
-Public constructors check their input (``FinPreorder``, ``PreordMorphism``,
-the spaces and continuous maps of ``alexandroff``, and result records such as
-factorizations and exact sequences).  Library results, records included, are
-made with ``_built``, unchecked, only where their docstring says why they
-hold; the suites re-check them, each record through its public constructor.
+Public constructors are the one trust boundary: ``FinSet``, ``Relation``,
+``SetMap``, ``FinPreorder``, ``PreordMorphism``, the spaces and continuous
+maps of ``alexandroff``, and result records such as factorizations and exact
+sequences check their input.  Every value the library computes from
+validated values (relations, maps, carriers, objects, morphisms and records)
+is made with ``_built``, unchecked, and its docstring says why it holds; the
+suites re-check them, each record through its public constructor.
+
+Values derived from one value are computed once and memoised on it, outside
+its dataclass fields, so equality, hashing and ``repr`` are unchanged: the
+columns of a relation, the fibres of a map, the pulled-back target order of
+a morphism, and in ``pretorsion`` the symmetric core of a relation, the
+reflection of a preorder and the reflected map of a morphism.  No memo
+reaches back to its owner, so a value is freed with its last reference.
 """
 
 from __future__ import annotations
@@ -124,29 +133,37 @@ def _is_label(lab: object) -> bool:
 
 
 def _fresh_carrier(candidates: list[str]) -> FinSet:
-    """A carrier labelled by the candidates when they are valid and
-    distinct, and by the default labels ``0 1 ...`` otherwise: built labels
-    can collide, as ``{a,b}`` for the class of ``a`` and ``b`` and for the
-    class of a point labelled ``a,b``."""
-    try:
-        return FinSet(len(candidates), tuple(candidates))
-    except ValueError:
-        return FinSet(len(candidates))
+    """A carrier labelled by the candidates when they are distinct, and by
+    the default labels ``0 1 ...`` otherwise: built labels can collide, as
+    ``{a,b}`` for the class of ``a`` and ``b`` and for the class of a point
+    labelled ``a,b``.  Built unchecked: every candidate is a valid label
+    copied from a carrier, or valid labels joined with ``{},()``, so
+    distinctness and ``FinSet``'s normalisation of ``0 1 ...`` (and of no
+    labels) to ``None`` are all that can fail."""
+    labels = tuple(candidates)
+    if len(set(labels)) != len(labels) or all(
+        lab == str(i) for i, lab in enumerate(labels)
+    ):
+        labels = None
+    return _built(FinSet, len(candidates), labels)
 
 
 def _built(cls, *values):
     """An instance of the frozen dataclass ``cls`` with the given field
     values, made without running its ``__post_init__`` checks.  Only for
-    library results whose construction proves what the checks would test."""
+    library results whose construction proves what the checks would test,
+    each named with its reason in the docstring of the function making it."""
     obj = object.__new__(cls)
-    for name, value in zip(cls.__dataclass_fields__, values):
-        object.__setattr__(obj, name, value)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
     return obj
 
 
 def _class_label(carrier: FinSet, members: Iterable[int]) -> str:
-    """The label ``{a,b}`` of a class of elements."""
-    return "{" + ",".join(carrier.label(a) for a in members) + "}"
+    """The label ``{a,b}`` of a class of elements of ``carrier``."""
+    labels = carrier.labels
+    if labels is None:
+        return "{" + ",".join(map(str, members)) + "}"
+    return "{" + ",".join(labels[a] for a in members) + "}"
 
 
 @dataclass(frozen=True)
@@ -308,21 +325,24 @@ def _require_endorelation(r: Relation) -> None:
 
 
 def compose_relations(r: Relation, s: Relation) -> Relation:
-    """Relational composite: ``(x, z)`` iff some ``y`` has ``x r y`` and ``y s z``."""
+    """Relational composite: ``(x, z)`` iff some ``y`` has ``x r y`` and
+    ``y s z``; one OR of rows of ``s`` per row of ``r``, built unchecked."""
     if r.dst != s.src:
         raise ValueError("carrier mismatch: middle carriers differ")
-    return Relation(r.src, s.dst, _or_rows(r.rows, s.rows))
+    return _built(Relation, r.src, s.dst, _or_rows(r.rows, s.rows))
 
 
 def opposite(r: Relation) -> Relation:
-    """The transposed relation ``dst -> src``."""
-    return Relation(r.dst, r.src, r.columns())
+    """The transposed relation ``dst -> src``: its rows are the columns of
+    ``r``, one per element of ``dst``, so it is built unchecked."""
+    return _built(Relation, r.dst, r.src, r.columns())
 
 
 def meet(r: Relation, s: Relation) -> Relation:
-    """Pairwise conjunction of two relations on the same carriers."""
+    """Pairwise conjunction of two relations on the same carriers; a meet of
+    fitting rows fits, so it is built unchecked."""
     _require_same_carriers(r, s)
-    return Relation(r.src, r.dst, tuple(a & b for a, b in zip(r.rows, s.rows)))
+    return _built(Relation, r.src, r.dst, tuple(a & b for a, b in zip(r.rows, s.rows)))
 
 
 @dataclass(frozen=True)
@@ -353,11 +373,16 @@ class SetMap:
         return acc
 
     def preimage_masks(self) -> tuple[int, ...]:
-        """For each codomain element, the bit mask of its fibre."""
-        masks = [0] * self.cod.size
-        for a, v in enumerate(self.values):
-            masks[v] |= 1 << a
-        return tuple(masks)
+        """For each codomain element, the bit mask of its fibre.
+
+        Memoised on the instance, outside its dataclass fields, as
+        ``Relation.columns`` is.
+        """
+        masks = self.__dict__.get("_fibres")
+        if masks is None:
+            masks = _fibres(self)
+            object.__setattr__(self, "_fibres", masks)
+        return masks
 
     def is_surjective(self) -> bool:
         return self.image_mask() == (1 << self.cod.size) - 1
@@ -366,24 +391,36 @@ class SetMap:
         return len(set(self.values)) == len(self.values)
 
 
+def _fibres(f: SetMap) -> tuple[int, ...]:
+    """The fibre masks of ``f``: the kernel behind ``SetMap.preimage_masks``."""
+    masks = [0] * f.cod.size
+    for a, v in enumerate(f.values):
+        masks[v] |= 1 << a
+    return tuple(masks)
+
+
 def identity_map(carrier: FinSet) -> SetMap:
-    return SetMap(carrier, carrier, tuple(range(carrier.size)))
+    """The identity of ``carrier``, in range by construction; built unchecked."""
+    return _built(SetMap, carrier, carrier, tuple(range(carrier.size)))
 
 
 def compose_maps(g: SetMap, f: SetMap) -> SetMap:
-    """The composite ``g after f``."""
+    """The composite ``g after f``: its values are values of ``g``, so it is
+    built unchecked."""
     if f.cod != g.dom:
         raise ValueError("carrier mismatch: maps are not composable")
-    return SetMap(f.dom, g.cod, tuple(g.values[v] for v in f.values))
+    return _built(SetMap, f.dom, g.cod, tuple(map(g.values.__getitem__, f.values)))
 
 
 def graph_relation(f: SetMap) -> Relation:
-    """The map ``f`` as a relation ``dom -> cod``: pairs ``(a, f(a))``."""
-    return Relation(f.dom, f.cod, tuple(1 << v for v in f.values))
+    """The map ``f`` as a relation ``dom -> cod``: pairs ``(a, f(a))``, one
+    in-range bit per row, so it is built unchecked."""
+    return _built(Relation, f.dom, f.cod, tuple(1 << v for v in f.values))
 
 
 def direct_image(f: SetMap, r: Relation) -> Relation:
-    """Push an endorelation forward: ``(f(a), f(a'))`` for each ``(a, a')``."""
+    """Push an endorelation forward: ``(f(a), f(a'))`` for each ``(a, a')``.
+    Every row is an OR of image points, so it is built unchecked."""
     _require_endorelation(r)
     if r.src != f.dom:
         raise ValueError("carrier mismatch: relation does not live on the map's domain")
@@ -391,15 +428,16 @@ def direct_image(f: SetMap, r: Relation) -> Relation:
     rows = [0] * f.cod.size
     for v, image in zip(f.values, images):
         rows[v] |= image
-    return Relation(f.cod, f.cod, tuple(rows))
+    return _built(Relation, f.cod, f.cod, tuple(rows))
 
 
 def inverse_image(f: SetMap, s: Relation) -> Relation:
-    """Pull an endorelation back: ``(a, a')`` iff ``(f(a), f(a'))`` related."""
+    """Pull an endorelation back: ``(a, a')`` iff ``(f(a), f(a'))`` related.
+    Every row is an OR of fibres of ``f``, so it is built unchecked."""
     _require_endorelation(s)
     if s.src != f.cod:
         raise ValueError("carrier mismatch: relation does not live on the map's codomain")
-    return Relation(f.dom, f.dom, _pull(f, s.rows))
+    return _built(Relation, f.dom, f.dom, _pull(f, s.rows))
 
 
 def _pull(f: SetMap, rows: Sequence[int]) -> tuple[int, ...]:
@@ -410,9 +448,10 @@ def _pull(f: SetMap, rows: Sequence[int]) -> tuple[int, ...]:
 
 
 def kernel_pair(f: SetMap) -> Relation:
-    """The equivalence relation ``(a, a')`` iff ``f(a) = f(a')``."""
+    """The equivalence relation ``(a, a')`` iff ``f(a) = f(a')``: row ``a``
+    is the fibre through ``a``, so it is built unchecked."""
     pre = f.preimage_masks()
-    return Relation(f.dom, f.dom, tuple(pre[v] for v in f.values))
+    return _built(Relation, f.dom, f.dom, tuple(map(pre.__getitem__, f.values)))
 
 
 def _row_owners(rows: Sequence[int]) -> dict[int, int]:
@@ -601,7 +640,7 @@ def reflexive_transitive_closure(r: Relation) -> FinPreorder:
     unreached successor ``k`` ORs in its closed row, which is a subset of
     the answer, and counts all of it, and ``k`` itself, as reached.  A row
     holds its own element and the closed rows of its successors, so the
-    result is a preorder, built unchecked.
+    result is a preorder, built unchecked, relation included.
     """
     _require_endorelation(r)
     rows = r.rows
@@ -620,7 +659,7 @@ def reflexive_transitive_closure(r: Relation) -> FinPreorder:
             rem &= ~(closed[k] | low)
         for v in members:
             closed[v] = acc
-    return _built(FinPreorder, r.src, Relation(r.src, r.src, tuple(closed)))
+    return _built(FinPreorder, r.src, _built(Relation, r.src, r.src, tuple(closed)))
 
 
 @dataclass(frozen=True)
@@ -697,7 +736,9 @@ def preord_pullback(f: PreordMorphism, g: PreordMorphism) -> Pullback:
     Carrier: pairs ``(x, z)`` with ``f(x) = g(z)`` in lexicographic index
     order.  The order is componentwise, which makes both projections
     monotone and jointly order-reflecting.  The componentwise order of two
-    preorders is a preorder, so all three are built unchecked.
+    preorders is a preorder on the pairs, and the projections send each pair
+    to one of its components, so all three are built unchecked, with their
+    relation, maps and carrier.
     """
     if f.dst != g.dst:
         raise ValueError("codomain mismatch: morphisms have different targets")
@@ -715,9 +756,11 @@ def preord_pullback(f: PreordMorphism, g: PreordMorphism) -> Pullback:
         [f"({x_obj.carrier.label(x)},{z_obj.carrier.label(z)})" for x, z in pairs]
     )
     rows = tuple(rx[x] & sz[z] for x, z in pairs)
-    obj = _built(FinPreorder, carrier, Relation(carrier, carrier, rows))
-    p1 = _built(PreordMorphism, obj, x_obj, SetMap(carrier, x_obj.carrier, tuple(x for x, _ in pairs)))
-    p2 = _built(PreordMorphism, obj, z_obj, SetMap(carrier, z_obj.carrier, tuple(z for _, z in pairs)))
+    obj = _built(FinPreorder, carrier, _built(Relation, carrier, carrier, rows))
+    xs = _built(SetMap, carrier, x_obj.carrier, tuple(x for x, _ in pairs))
+    zs = _built(SetMap, carrier, z_obj.carrier, tuple(z for _, z in pairs))
+    p1 = _built(PreordMorphism, obj, x_obj, xs)
+    p2 = _built(PreordMorphism, obj, z_obj, zs)
     return Pullback(obj, p1, p2)
 
 
@@ -781,31 +824,16 @@ def class_map(carrier: FinSet, classes: Sequence[Sequence[int]]) -> SetMap:
     """The map sending each element to the index of its class, onto a
     carrier labelled ``{a,b}`` by the members of each class, or by the
     default labels when two classes spell the same label (points ``a``,
-    ``b`` and ``a,b``, with ``a`` and ``b`` in one class)."""
-    values = [0] * carrier.size
-    for ci, cls in enumerate(classes):
-        for a in cls:
-            values[a] = ci
-    cod = _fresh_carrier([_class_label(carrier, cls) for cls in classes])
-    return SetMap(carrier, cod, tuple(values))
-
-
-def quotient(p: FinPreorder, classes: Sequence[Sequence[int]]) -> PreordMorphism:
-    """The quotient of ``p`` by a partition that refines its symmetric core:
-    the class map, as a monotone surjection onto the class carrier ordered
-    by the pushed-forward relation.
+    ``b`` and ``a,b``, with ``a`` and ``b`` in one class).
 
     ``classes`` must be nonempty lists that together hold every element of
-    ``p`` exactly once, and the members of a class must have equal rows
-    (be related both ways); otherwise ``ValueError``.  Then ``a ≤ b`` iff
-    ``[a] ≤ [b]``, since any member of a class may stand for it, so the
-    pushed relation is a preorder and the class map monotone; both are
-    built unchecked.
+    ``carrier`` exactly once; otherwise ``ValueError``.  Then every element
+    has one class index in range, so the map is built unchecked.
     """
-    n = p.size
-    rows = p.rel.rows
+    n = carrier.size
+    values = [0] * n
     seen = bytearray(n)
-    for cls in classes:
+    for ci, cls in enumerate(classes):
         if not cls:
             raise ValueError("not a partition: a class is empty")
         for a in cls:
@@ -814,10 +842,29 @@ def quotient(p: FinPreorder, classes: Sequence[Sequence[int]]) -> PreordMorphism
             if seen[a]:
                 raise ValueError(f"not a partition: element {a} is in two classes")
             seen[a] = 1
-            if rows[a] != rows[cls[0]]:
-                raise ValueError(f"class of {cls[0]} leaves the symmetric core at {a}")
+            values[a] = ci
     missing = seen.find(0)
     if missing >= 0:
         raise ValueError(f"not a partition: element {missing} is in no class")
+    cod = _fresh_carrier([_class_label(carrier, cls) for cls in classes])
+    return _built(SetMap, carrier, cod, tuple(values))
+
+
+def quotient(p: FinPreorder, classes: Sequence[Sequence[int]]) -> PreordMorphism:
+    """The quotient of ``p`` by a partition that refines its symmetric core:
+    the class map, as a monotone surjection onto the class carrier ordered
+    by the pushed-forward relation.
+
+    ``classes`` must be a partition of ``p``, as ``class_map`` checks, and
+    the members of a class must have equal rows (be related both ways);
+    otherwise ``ValueError``.  Then ``a ≤ b`` iff ``[a] ≤ [b]``, since any
+    member of a class may stand for it, so the pushed relation is a
+    preorder and the class map monotone; both are built unchecked.
+    """
     q = class_map(p.carrier, classes)
+    rows = p.rel.rows
+    for cls in classes:
+        for a in cls:
+            if rows[a] != rows[cls[0]]:
+                raise ValueError(f"class of {cls[0]} leaves the symmetric core at {a}")
     return _built(PreordMorphism, p, _built(FinPreorder, q.cod, direct_image(q, p.rel)), q)

@@ -1,10 +1,13 @@
 """Every library result built without its constructor's checks equals its
 rebuild through the public constructors, which run those checks.
 
-The rebuild raises when a built preorder is not reflexive and transitive,
-a built space not nested, a built map not monotone, or a built record
-(factorization, exact sequence, decomposition) fails its constructor's
-checks; equal values must also hash equally, since built values meet
+The rebuild raises when a built carrier has repeated or unprintable labels,
+a built relation or map does not fit its carriers, a built preorder is not
+reflexive and transitive, a built space not nested, a built map not
+monotone, or a built record (factorization, exact sequence, decomposition)
+fails its constructor's checks.  It differs from the built value when a
+built carrier keeps labels that spell ``0 1 ...``, which ``FinSet`` stores
+as ``None``.  Equal values must also hash equally, since built values meet
 checked ones in sets and dicts.
 """
 
@@ -21,10 +24,23 @@ from preord.relations import (
     FinSet,
     PreordMorphism,
     Relation,
+    SetMap,
+    class_map,
+    compose_maps,
     compose_morphisms,
+    compose_relations,
+    direct_image,
+    graph_relation,
+    identity_map,
     identity_morphism,
+    inverse_image,
+    kernel_pair,
+    meet,
+    opposite,
     preord_pullback,
+    quotient,
     reflexive_transitive_closure,
+    row_classes,
 )
 
 
@@ -35,15 +51,24 @@ def rebuilt(x):
     if isinstance(x, pre.NExactSequence):
         return pre.NExactSequence(rebuilt(x.torsion_part), rebuilt(x.free_part), x.witness)
     if isinstance(x, pre.Decomposition):
-        return pre.Decomposition(x.equiv, rebuilt(x.quotient_order), x.section_data)
+        return pre.Decomposition(
+            rebuilt(x.equiv), rebuilt(x.quotient_order), rebuilt(x.section_data)
+        )
+    if isinstance(x, FinSet):
+        return FinSet(x.size, x.labels)
+    if isinstance(x, Relation):
+        return Relation(rebuilt(x.src), rebuilt(x.dst), x.rows)
+    if isinstance(x, SetMap):
+        return SetMap(rebuilt(x.dom), rebuilt(x.cod), x.values)
     if isinstance(x, FinPreorder):
-        return FinPreorder(x.carrier, x.rel)
+        return FinPreorder(rebuilt(x.carrier), rebuilt(x.rel))
     if isinstance(x, PreordMorphism):
-        return PreordMorphism(rebuilt(x.src), rebuilt(x.dst), x.map)
+        return PreordMorphism(rebuilt(x.src), rebuilt(x.dst), rebuilt(x.map))
     if isinstance(x, alx.AlexandroffSpace):
-        return alx.AlexandroffSpace(x.carrier, x.min_nbhd)
+        return alx.AlexandroffSpace(rebuilt(x.carrier), x.min_nbhd)
     if isinstance(x, alx.ContinuousMap):
-        return alx.ContinuousMap(rebuilt(x.src), rebuilt(x.dst), x.map)
+        return alx.ContinuousMap(rebuilt(x.src), rebuilt(x.dst), rebuilt(x.map))
+    raise TypeError(f"no public constructor known for {type(x).__name__}")
 
 
 def assert_rebuilds(*values):
@@ -58,7 +83,17 @@ def check_object_sites(p: FinPreorder) -> None:
     cover = fct.effective_descent_cover(p)
     space = alx.preorder_to_space(p)
     t0 = alx.t0_reflection(space)
+    r = p.rel
+    classes = row_classes(r.rows)
     assert_rebuilds(
+        compose_relations(r, r),
+        opposite(r),
+        meet(r, opposite(r)),
+        pre.sym_core(p),
+        pre.generators(p),
+        class_map(p.carrier, classes),
+        quotient(p, classes),
+        identity_map(p.carrier),
         reflexive_transitive_closure(p.rel),
         identity_morphism(p),
         poset,
@@ -88,7 +123,13 @@ def check_map_sites(f: PreordMorphism) -> None:
     if witness is not None:
         assert_rebuilds(*witness)
     assert_rebuilds(
+        graph_relation(f.map),
+        direct_image(f.map, f.src.rel),
+        inverse_image(f.map, f.dst.rel),
+        kernel_pair(f.map),
+        compose_maps(pre.reflect(f.dst).unit.map, f.map),
         compose_morphisms(pre.reflect(f.dst).unit, f),
+        pb.object,
         pb.p1,
         pb.p2,
         pre.reflect_morphism(f),
@@ -123,3 +164,30 @@ def test_every_site_on_random_preorders_and_maps_up_to_forty_points(seed):
         carrier = FinSet(size)
         edges = [(rng.randrange(size), rng.randrange(size)) for _ in range(size)]
         assert_rebuilds(reflexive_transitive_closure(Relation.from_pairs(carrier, carrier, edges)))
+
+
+def test_every_site_on_the_edge_cases():
+    # the empty carrier, where every built carrier has no labels
+    empty = FinPreorder.discrete(0)
+    check_object_sites(empty)
+    check_map_sites(identity_morphism(empty))
+    # two classes spell ``{a,b}``, so the reflection falls back to ``0 1``
+    colliding = FinPreorder.from_edges(3, [(0, 1), (1, 0)], labels=("a", "b", "a,b"))
+    assert pre.reflect(colliding).poset.carrier.labels is None
+    check_object_sites(colliding)
+    check_map_sites(identity_morphism(colliding))
+    # copied labels that spell ``0 1``: a subspace and an ideal factorization
+    spelled = FinPreorder.discrete(3, labels=("x", "0", "1"))
+    space = alx.preorder_to_space(spelled)
+    assert alx.subspace(space, [1, 2]).carrier.labels is None
+    assert_rebuilds(alx.subspace(space, [1, 2]), alx.subspace(space, [1]))
+    two = FinPreorder.discrete(2)
+    f = PreordMorphism(two, spelled, SetMap(two.carrier, spelled.carrier, (1, 2)))
+    witness = pre.ideal_factorization(f)
+    assert witness.discrete.carrier.labels is None
+    check_object_sites(spelled)
+    check_map_sites(f)
+    # labels that spell ``0 1`` in another order are kept
+    swapped = FinPreorder.chain(2, labels=("1", "0"))
+    check_object_sites(swapped)
+    check_map_sites(PreordMorphism(two, swapped, SetMap(two.carrier, swapped.carrier, (1, 0))))

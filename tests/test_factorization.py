@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -23,14 +25,14 @@ from preord.factorization import (
     reflective_factorization,
     verify_stable_units,
 )
-from preord import relations
+from preord import pretorsion, relations
 from preord.oracle import (
     enumerate_morphisms,
     enumerate_preorders,
     random_preorder,
     reflect_by_quotient,
 )
-from preord.pretorsion import n_kernel, reflect
+from preord.pretorsion import canonical_sequence, n_kernel, reflect, reflect_morphism, sym_core
 from preord.relations import (
     FinPreorder,
     PreordMorphism,
@@ -85,6 +87,43 @@ class TestClassify:
         f = morph(running_example(), FinPreorder.chain(2), (0, 0, 1))
         classify(f)
         assert pulled == [unit.map, f.map]  # validation already pulled it back
+
+    def test_fibres_and_cores_are_computed_once(self, monkeypatch):
+        # count real fibres and cores, below the memos on the map and relation
+        fibred, cored = [], []
+        fibres, owners = relations._fibres, pretorsion._row_owners
+        monkeypatch.setattr(relations, "_fibres", lambda m: fibred.append(m) or fibres(m))
+        monkeypatch.setattr(pretorsion, "_row_owners", lambda rows: cored.append(rows) or owners(rows))
+        f = morph(running_example(), FinPreorder.chain(2), (0, 0, 1))
+        for _ in range(2):
+            classify(f)
+            reflective_factorization(f)
+            monotone_light_factorization(f)
+        assert sum(m is f.map for m in fibred) == 1  # in_M, in_M_star, descent, kernel pair
+        assert len({id(m) for m in fibred}) == len(fibred)
+        assert sorted(map(id, cored)) == sorted(map(id, (f.src.rel.rows, f.dst.rel.rows)))
+
+    def test_filled_memos_die_with_their_owners(self):
+        # labels no other test uses, so no earlier equal object is involved
+        p = FinPreorder.from_edges(3, [(0, 1), (1, 0), (1, 2)], labels=("k0", "k1", "k2"))
+        q = FinPreorder.codiscrete(2, labels=("l0", "l1"))  # its own symmetric core
+        f = morph(p, q, (0, 0, 1))
+        classify(f)
+        reflective_factorization(f)
+        monotone_light_factorization(f)
+        reflect_morphism(f)
+        core = canonical_sequence(p).torsion_part.src
+        sym_core(core)
+        reflect_morphism(reflect(p).unit)
+        refs = [weakref.ref(x) for x in (p, p.rel, q, q.rel, f, f.map, core, core.rel)]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del p, q, f, core
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_poset_morphisms_are_trivial_coverings(self):
         f = morph(FinPreorder.chain(2), FinPreorder.chain(3), (0, 2))

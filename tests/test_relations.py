@@ -32,6 +32,7 @@ from preord.relations import (
     PreordMorphism,
     Relation,
     SetMap,
+    class_map,
     compose_maps,
     compose_relations,
     direct_image,
@@ -518,6 +519,27 @@ class TestQuotient:
     def test_rejects_what_is_not_a_partition_inside_the_core(self, p, classes, message):
         with pytest.raises(ValueError, match=message):
             quotient(p, classes)
+
+
+class TestClassMap:
+    def test_sends_each_element_to_its_class(self):
+        q = class_map(FinSet(3, ("a", "b", "c")), [[0, 2], [1]])
+        assert q.values == (0, 1, 0)
+        assert q.cod == FinSet(2, ("{a,c}", "{b}"))
+
+    @pytest.mark.parametrize(
+        "classes, message",
+        [
+            ([[0], [1]], "not a partition: element 2 is in no class"),
+            ([[0, 1], [1, 2]], "not a partition: element 1 is in two classes"),
+            ([[0, 1, 2], []], "not a partition: a class is empty"),
+            ([[0, 1, 3]], re.escape("not a partition: element 3 out of range 0..2")),
+        ],
+        ids=["missing", "overlapping", "empty", "out-of-range"],
+    )
+    def test_rejects_what_is_not_a_partition(self, classes, message):
+        with pytest.raises(ValueError, match=message):
+            class_map(THREE, classes)
 
 
 def _reflexive_relations(n):
