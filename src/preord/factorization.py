@@ -294,7 +294,7 @@ def reflective_factorization(f: PreordMorphism) -> FactorizationResult:
     _, unit_dst = reflect(f.dst)
     induced = reflect_morphism(f)
     pb = preord_pullback(induced, unit_dst)
-    index = {(pb.p1(k), pb.p2(k)): k for k in range(pb.object.size)}
+    index = {pair: k for k, pair in enumerate(zip(pb.p1.map.values, pb.p2.map.values))}
     e = _built(
         PreordMorphism,
         f.src,
@@ -303,7 +303,7 @@ def reflective_factorization(f: PreordMorphism) -> FactorizationResult:
             SetMap,
             f.src.carrier,
             pb.object.carrier,
-            tuple(index[(unit_src(a), f(a))] for a in range(f.src.size)),
+            tuple(map(index.__getitem__, zip(unit_src.map.values, f.map.values))),
         ),
     )
     return _built(FactorizationResult, pb.object, e, pb.p2, "reflective")
@@ -445,7 +445,10 @@ def check_orthogonality(
     ``e`` must be surjective fully faithful, ``m`` a covering, and
     ``(u, v)`` a commuting square ``m ∘ u = v ∘ e``.  Because ``e`` is
     surjective any diagonal is forced on every element, so at most one can
-    exist; raises when none does, which would refute orthogonality.
+    exist; raises ``OrthogonalityError`` when none does, which would refute
+    orthogonality.  Both triangles and the square are compared on value
+    tuples; the forced candidate goes through the public ``PreordMorphism``,
+    whose rejection names the pair that breaks monotonicity.
     """
     if u.src != e.src or u.dst != m.src:
         raise ValueError("square endpoints do not match")
@@ -455,25 +458,21 @@ def check_orthogonality(
         raise ValueError("left leg is not surjective fully faithful")
     if not is_in_M_star(m):
         raise ValueError("right leg is not a covering")
-    if compose_morphisms(m, u).map != compose_morphisms(v, e).map:
+    down, across, top = m.map.values, v.map.values, u.map.values
+    if [down[x] for x in top] != [across[b] for b in e.map.values]:
         raise ValueError("square does not commute")
-    pre = e.map.preimage_masks()
     values = []
-    for b in range(e.dst.size):
-        fibre = list(_bits(pre[b]))
-        val = u(fibre[0])
-        for a in fibre[1:]:
-            if u(a) != val:
-                raise OrthogonalityError(
-                    f"no diagonal: top map splits the fibre over {b}"
-                )
-        values.append(val)
+    for b, fibre in enumerate(e.map.preimage_masks()):
+        forced = {top[a] for a in _bits(fibre)}
+        if len(forced) != 1:
+            raise OrthogonalityError(f"no diagonal: top map splits the fibre over {b}")
+        values.extend(forced)
     try:
         alpha = PreordMorphism(
             e.dst, m.src, SetMap(e.dst.carrier, m.src.carrier, tuple(values))
         )
     except ValueError as exc:
         raise OrthogonalityError(f"no monotone diagonal: {exc}") from exc
-    if compose_morphisms(m, alpha).map != v.map:
+    if tuple(map(down.__getitem__, values)) != across:
         raise OrthogonalityError("no diagonal: forced candidate misses the bottom map")
     return alpha

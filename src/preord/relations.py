@@ -505,21 +505,9 @@ class FinPreorder:
     rel: Relation
 
     def __post_init__(self) -> None:
-        if self.rel.src != self.carrier or self.rel.dst != self.carrier:
-            raise ValueError("relation does not live on the carrier")
-        rows = self.rel.rows
-        n = self.carrier.size
-        for i in range(n):
-            if not rows[i] >> i & 1:
-                raise ValueError(f"not reflexive: ({i}, {i}) missing")
-        # R∘R ⊆ R, exact since _or_rows is exact on every relation
-        bad = _excess(_or_rows(rows, rows), rows)
-        if bad is not None:
-            i, k = bad
-            j = next(j for j in _bits(rows[i]) if rows[j] >> k & 1)
-            raise ValueError(
-                f"not transitive: ({i}, {j}) and ({j}, {k}) but not ({i}, {k})"
-            )
+        failure = _preorder_failure(self.carrier, self.rel)
+        if failure is not None:
+            raise ValueError(failure)
 
     @classmethod
     def discrete(cls, n: int, labels: tuple[str, ...] | None = None) -> "FinPreorder":
@@ -570,6 +558,24 @@ class FinPreorder:
 
     def is_discrete(self) -> bool:
         return self.rel == Relation.diagonal(self.carrier)
+
+
+def _preorder_failure(carrier: FinSet, rel: Relation) -> str | None:
+    """Why ``FinPreorder(carrier, rel)`` would be rejected, or ``None``: the
+    relation must live on the carrier, be reflexive, and satisfy
+    ``R∘R ⊆ R``, exact since ``_or_rows`` is exact on every relation."""
+    if rel.src != carrier or rel.dst != carrier:
+        return "relation does not live on the carrier"
+    rows = rel.rows
+    for i in range(carrier.size):
+        if not rows[i] >> i & 1:
+            return f"not reflexive: ({i}, {i}) missing"
+    bad = _excess(_or_rows(rows, rows), rows)
+    if bad is not None:
+        i, k = bad
+        j = next(j for j in _bits(rows[i]) if rows[j] >> k & 1)
+        return f"not transitive: ({i}, {j}) and ({j}, {k}) but not ({i}, {k})"
+    return None
 
 
 def _scc_classes(rows: Sequence[int]) -> list[int]:
@@ -752,9 +758,9 @@ def preord_pullback(f: PreordMorphism, g: PreordMorphism) -> Pullback:
         zmask[z] |= 1 << k
     rx = _or_rows(x_obj.rel.rows, xmask)
     sz = _or_rows(z_obj.rel.rows, zmask)
-    carrier = _fresh_carrier(
-        [f"({x_obj.carrier.label(x)},{z_obj.carrier.label(z)})" for x, z in pairs]
-    )
+    xl = x_obj.carrier.labels or tuple(map(str, range(x_obj.size)))
+    zl = z_obj.carrier.labels or tuple(map(str, range(z_obj.size)))
+    carrier = _fresh_carrier([f"({xl[x]},{zl[z]})" for x, z in pairs])
     rows = tuple(rx[x] & sz[z] for x, z in pairs)
     obj = _built(FinPreorder, carrier, _built(Relation, carrier, carrier, rows))
     xs = _built(SetMap, carrier, x_obj.carrier, tuple(x for x, _ in pairs))

@@ -23,9 +23,10 @@ from .relations import (
     PreordMorphism,
     SetMap,
     _excess,
+    _preorder_failure,
+    _pulled_back,
     compose_morphisms,
     direct_image,
-    identity_morphism,
     inverse_image,
     is_isomorphism,
     is_pullback_square,
@@ -232,14 +233,32 @@ def check_kernel_universal(f: PreordMorphism) -> str | None:
 def check_factorization_parts(
     f: PreordMorphism, result: fct.FactorizationResult
 ) -> str | None:
-    flags = relation_predicates(result.mid.rel)
-    if not (flags.reflexive and flags.transitive):
+    """``result`` must factor ``f``: legs from ``f.src`` through a preorder
+    to ``f.dst``, each monotone, composing back to ``f``, and certified by
+    ``FactorizationResult``'s public constructor; the covering leg of a
+    light factorization must have the reflected relative kernel.
+
+    Decided on the rows and value tuples in hand: the endpoints first, so
+    legs that do not meet are reported, not raised on; the middle object
+    by ``FinPreorder``'s own validation; each leg's monotonicity against
+    its memoised pulled-back order, which the constructor's
+    fully-faithfulness test then reads again; the composite on values."""
+    mid, e, m = result.mid, result.e, result.m
+    if e.dst != mid or m.src != mid:
+        return "legs do not meet in the middle object"
+    if e.src != f.src or m.dst != f.dst:
+        return "legs do not compose back to the morphism"
+    if (e.map.dom, e.map.cod, m.map.dom, m.map.cod) != (
+        f.src.carrier, mid.carrier, mid.carrier, f.dst.carrier
+    ):
+        return "a leg's map does not match its endpoints"
+    if _preorder_failure(mid.carrier, mid.rel) is not None:
         return "middle object is not a preorder"
-    if not _is_monotone(f.src, result.mid, result.e):
+    if _excess(f.src.rel.rows, _pulled_back(e)) is not None:
         return "first leg is not monotone"
-    if not _is_monotone(result.mid, f.dst, result.m):
+    if _excess(mid.rel.rows, _pulled_back(m)) is not None:
         return "second leg is not monotone"
-    if result.composite.map != f.map:
+    if tuple(map(m.map.values.__getitem__, e.map.values)) != f.map.values:
         return "legs do not compose back to the morphism"
     try:
         fct.FactorizationResult(result.mid, result.e, result.m, result.system)
@@ -388,7 +407,7 @@ def check_factorization_uniqueness(f: PreordMorphism) -> str | None:
         return f"no comparison between factorizations: {exc}"
     if alpha.map.values != perm or beta.map.values != perm:
         return "comparison is not the transporting isomorphism"
-    if compose_morphisms(beta, alpha).map != identity_morphism(light.mid).map:
+    if tuple(map(beta.map.values.__getitem__, alpha.map.values)) != tuple(range(n)):
         return "comparisons do not invert each other"
     return None
 

@@ -9,6 +9,7 @@ import strategies as sts
 from preord.factorization import (
     FactorizationResult,
     MorphismClassification,
+    OrthogonalityError,
     check_orthogonality,
     classify,
     effective_descent_cover,
@@ -25,7 +26,7 @@ from preord.factorization import (
     reflective_factorization,
     verify_stable_units,
 )
-from preord import pretorsion, relations
+from preord import factorization, pretorsion, relations
 from preord.oracle import (
     enumerate_morphisms,
     enumerate_preorders,
@@ -35,6 +36,7 @@ from preord.oracle import (
 from preord.pretorsion import canonical_sequence, n_kernel, reflect, reflect_morphism, sym_core
 from preord.relations import (
     FinPreorder,
+    FinSet,
     PreordMorphism,
     Relation,
     SetMap,
@@ -45,7 +47,7 @@ from preord.relations import (
     preord_pullback,
     relation_predicates,
 )
-from preord.suites import check_factorization_parts
+from preord.suites import check_factorization_parts, check_factorization_uniqueness
 
 
 def to_point(p):
@@ -348,6 +350,86 @@ class TestFactorizationResult:
             FactorizationResult(other, legs.e, legs.m, "reflective")
 
 
+def built_mid(rows):
+    """A middle object on default labels with the given rows, unchecked."""
+    carrier = FinSet(len(rows))
+    return _built(FinPreorder, carrier, _built(Relation, carrier, carrier, tuple(rows)))
+
+
+def built_legs(f, mid, e_values, m_values, system="monotone-light"):
+    """A result for ``f`` through ``mid`` with the given leg values, built
+    unchecked as the library builds its own."""
+    e = _built(PreordMorphism, f.src, mid, _built(SetMap, f.src.carrier, mid.carrier, e_values))
+    m = _built(PreordMorphism, mid, f.dst, _built(SetMap, mid.carrier, f.dst.carrier, m_values))
+    return _built(FactorizationResult, mid, e, m, system)
+
+
+CHAIN_2 = identity_morphism(FinPreorder.chain(2))
+DISCRETE_2 = identity_morphism(FinPreorder.discrete(2))
+
+
+class TestFactorizationPartsCheck:
+    """``suites.check_factorization_parts`` reports, never raises, on results
+    built unchecked, one message per way the parts can fail."""
+
+    @pytest.mark.parametrize("factor", [reflective_factorization, monotone_light_factorization])
+    def test_legs_that_do_not_meet_are_reported(self, factor):
+        f = identity_morphism(FinPreorder.chain(2))
+        legs = factor(f)
+        assert legs.mid != f.src
+        lands_elsewhere = _built(FactorizationResult, legs.mid, f, legs.m, legs.system)
+        starts_elsewhere = _built(FactorizationResult, legs.mid, legs.e, f, legs.system)
+        for result in (lands_elsewhere, starts_elsewhere):
+            assert check_factorization_parts(f, result) == "legs do not meet in the middle object"
+
+    def test_legs_of_another_morphism_or_on_other_carriers(self):
+        f = identity_morphism(FinPreorder.chain(2))
+        legs = monotone_light_factorization(f)
+        g = identity_morphism(FinPreorder.discrete(2))
+        assert check_factorization_parts(g, legs) == "legs do not compose back to the morphism"
+        relabelled = _built(SetMap, FinSet(2, ("a", "b")), legs.mid.carrier, legs.e.map.values)
+        e = _built(PreordMorphism, f.src, legs.mid, relabelled)
+        result = _built(FactorizationResult, legs.mid, e, legs.m, legs.system)
+        assert check_factorization_parts(f, result) == "a leg's map does not match its endpoints"
+
+    @pytest.mark.parametrize(
+        "f, mid, e_values, m_values, failure",
+        [
+            (CHAIN_2, built_mid([0b10, 0b10]), (0, 1), (0, 1), "middle object is not a preorder"),
+            (
+                identity_morphism(FinPreorder.chain(3)),
+                built_mid([0b011, 0b110, 0b100]),
+                (0, 1, 2),
+                (0, 1, 2),
+                "middle object is not a preorder",
+            ),
+            (CHAIN_2, FinPreorder.discrete(2), (0, 1), (0, 1), "first leg is not monotone"),
+            (DISCRETE_2, FinPreorder.chain(2), (0, 1), (0, 1), "second leg is not monotone"),
+            (
+                DISCRETE_2,
+                FinPreorder.discrete(2),
+                (1, 0),
+                (0, 1),
+                "legs do not compose back to the morphism",
+            ),
+        ],
+        ids=["not-reflexive", "not-transitive", "first-leg", "second-leg", "composite"],
+    )
+    def test_each_failure_is_reported(self, f, mid, e_values, m_values, failure):
+        assert check_factorization_parts(f, built_legs(f, mid, e_values, m_values)) == failure
+
+    def test_covering_kernel_of_another_factorization(self):
+        # the reflective legs of an identity are isomorphisms, so they pass
+        # as light legs, but their middle object carries pair labels
+        f = identity_morphism(FinPreorder.chain(2))
+        legs = reflective_factorization(f)
+        result = _built(FactorizationResult, legs.mid, legs.e, legs.m, "monotone-light")
+        assert (
+            check_factorization_parts(f, result)
+            == "covering kernel is not the reflected relative kernel"
+        )
+
+
 class TestEffectiveDescentCover:
     def test_point_gives_three_chain(self):
         total, projection = effective_descent_cover(FinPreorder.discrete(1))
@@ -494,6 +576,41 @@ class TestOrthogonality:
         v = morph(p, p, (1, 0))
         with pytest.raises(ValueError, match="commute"):
             check_orthogonality(e, m, u, v)
+
+
+class TestOrthogonalityFailures:
+    """The theorem forbids a missing diagonal on certified legs, so the
+    class tests are patched to pass uncertified ones."""
+
+    @pytest.fixture(autouse=True)
+    def uncertified_legs(self, monkeypatch):
+        monkeypatch.setattr(factorization, "is_in_E_bar", lambda f: True)
+        monkeypatch.setattr(factorization, "is_in_M_star", lambda f: True)
+
+    def test_top_map_splits_a_fibre(self):
+        d2, point = FinPreorder.discrete(2), FinPreorder.discrete(1)
+        square = (to_point(d2), to_point(d2), identity_morphism(d2), identity_morphism(point))
+        with pytest.raises(OrthogonalityError, match="^no diagonal: top map splits the fibre over 0$"):
+            check_orthogonality(*square)
+
+    def test_forced_candidate_is_not_monotone(self):
+        d2, c2 = FinPreorder.discrete(2), FinPreorder.chain(2)
+        square = (morph(d2, c2, (0, 1)), to_point(d2), identity_morphism(d2), to_point(c2))
+        with pytest.raises(OrthogonalityError) as caught:
+            check_orthogonality(*square)
+        assert str(caught.value) == (
+            "no monotone diagonal: not monotone: (0, 1) related but (0, 1) is not"
+        )
+
+    def test_uniqueness_check_reports_a_missing_comparison(self, monkeypatch):
+        def no_diagonal(e, m, u, v):
+            raise OrthogonalityError("no diagonal: top map splits the fibre over 0")
+
+        monkeypatch.setattr(factorization, "check_orthogonality", no_diagonal)
+        f = to_point(FinPreorder.discrete(2))
+        assert check_factorization_uniqueness(f) == (
+            "no comparison between factorizations: no diagonal: top map splits the fibre over 0"
+        )
 
 
 class TestClassAgreements:
