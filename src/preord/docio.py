@@ -47,7 +47,6 @@ from dataclasses import dataclass, field
 from itertools import compress
 from typing import TextIO
 
-from .alexandroff import AlexandroffSpace
 from .pretorsion import generators
 from .relations import (
     FinPreorder,
@@ -218,6 +217,8 @@ def _build_preorder(block: _Block, strict: bool, version: str) -> FinPreorder:
 
 
 def _build_space(block: _Block) -> AlexandroffSpace:
+    from .alexandroff import AlexandroffSpace
+
     carrier, position = _index_points(block)
     nbhds = [1 << x for x in range(carrier.size)]
     for point, members, lineno in block.nbhds:

@@ -446,9 +446,12 @@ def check_orthogonality(
     ``(u, v)`` a commuting square ``m ∘ u = v ∘ e``.  Because ``e`` is
     surjective any diagonal is forced on every element, so at most one can
     exist; raises ``OrthogonalityError`` when none does, which would refute
-    orthogonality.  Both triangles and the square are compared on value
-    tuples; the forced candidate goes through the public ``PreordMorphism``,
-    whose rejection names the pair that breaks monotonicity.
+    orthogonality.  The square is compared on value tuples, and the top
+    triangle holds by construction once each fibre of ``e`` forces one
+    value; the forced candidate goes through the public ``PreordMorphism``,
+    whose rejection names the pair that breaks monotonicity.  The bottom
+    triangle then needs no test: ``m(α(b)) = m(u(a)) = v(e(a)) = v(b)`` for
+    any ``a`` over ``b``.
     """
     if u.src != e.src or u.dst != m.src:
         raise ValueError("square endpoints do not match")
@@ -468,11 +471,8 @@ def check_orthogonality(
             raise OrthogonalityError(f"no diagonal: top map splits the fibre over {b}")
         values.extend(forced)
     try:
-        alpha = PreordMorphism(
+        return PreordMorphism(
             e.dst, m.src, SetMap(e.dst.carrier, m.src.carrier, tuple(values))
         )
     except ValueError as exc:
         raise OrthogonalityError(f"no monotone diagonal: {exc}") from exc
-    if tuple(map(down.__getitem__, values)) != across:
-        raise OrthogonalityError("no diagonal: forced candidate misses the bottom map")
-    return alpha

@@ -11,7 +11,7 @@ import pytest
 import preord
 from preord.cli import build_parser, main
 from preord.docio import Document, dumps, loads
-from preord import oracle, suites
+from preord import factorization, oracle, suites
 from preord.suites import (
     SuiteReport,
     _sweep,
@@ -199,6 +199,18 @@ morphism g A B
         with pytest.raises(SystemExit) as err:
             main(["factor", morphism_file, "-m", "f"])
         assert err.value.code == 2
+
+    def test_system_names_are_the_factorization_systems(self, morphism_file, capsys):
+        commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        system = next(a for a in commands.choices["factor"]._actions if a.dest == "system")
+        assert tuple(system.choices) == tuple(factorization.SYSTEMS)
+        with pytest.raises(SystemExit) as err:
+            main(["factor", morphism_file, "-m", "f", "--system", "nope"])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "preord factor: error: argument --system: invalid choice: 'nope' "
+            "(choose from 'reflective', 'monotone-light')"
+        )
 
 
 class TestCoverSequence:
@@ -540,6 +552,32 @@ class TestImportBoundary:
         )
         assert {"preord.cli", "preord.docio", "preord.alexandroff"} <= loaded
         assert not loaded & {"preord.suites", "preord.oracle"}
+
+    def test_reflect_sequence_and_export_load_no_factorization_or_topology(self, morphism_file):
+        loaded = _modules_after(
+            ["reflect", morphism_file, "-o", "P"],
+            ["sequence", morphism_file, "-o", "P"],
+            ["export", "--dot", morphism_file, "-o", "P"],
+        )
+        assert {"preord.cli", "preord.docio", "preord.pretorsion"} <= loaded
+        assert not loaded & {"preord.factorization", "preord.alexandroff"}
+
+    def test_classify_and_factor_load_no_topology(self, morphism_file):
+        loaded = _modules_after(
+            ["classify", morphism_file, "-m", "f"],
+            ["factor", morphism_file, "-m", "f", "--system", "reflective"],
+            ["factor", morphism_file, "-m", "f", "--system", "monotone-light"],
+        )
+        assert "preord.factorization" in loaded
+        assert "preord.alexandroff" not in loaded
+
+    def test_topology_loads_no_factorization(self, morphism_file):
+        loaded = _modules_after(
+            ["topology", morphism_file],
+            ["topology", morphism_file, "-o", "Q", "--check", "t0"],
+        )
+        assert "preord.alexandroff" in loaded
+        assert "preord.factorization" not in loaded
 
     def test_check_loads_the_suites_and_oracle(self):
         loaded = _modules_after(["check", "--suite", "stable-units", "--max-n", "0"])
