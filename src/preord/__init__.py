@@ -7,9 +7,13 @@ dictionary in :mod:`preord.alexandroff`; brute-force counterparts in
 :mod:`preord.oracle`; cross-validation suites in :mod:`preord.suites`; and
 document IO plus the CLI in :mod:`preord.docio` and :mod:`preord.cli`.
 
-Every package export, the modules that define them included, is imported
-on first access (PEP 562), and each CLI command imports only the layers it
-calls, so a process compiles only what it runs: ``preord reflect`` never
+The package root exports the library layers (relations, pretorsion,
+factorization, alexandroff) and their public names; the oracle and the
+suites, which verify the library, are imported by module path
+(``from preord import oracle``, ``from preord import suites``).  Every
+export, the modules that define them included, is imported on first
+access (PEP 562), and each CLI command imports only the layers it calls,
+so a process compiles only what it runs: ``preord reflect`` never
 compiles the factorization or topology layers, and only ``preord check``
 compiles the suites and the oracle.
 """
@@ -27,26 +31,22 @@ _EXPORTS = {
         """,
         "factorization": """
             Cover FactorizationResult MorphismClassification OrthogonalityError
-            check_orthogonality classify effective_descent_cover fibre_poset_lemma
+            check_orthogonality classify effective_descent_cover
             is_effective_descent is_fully_faithful is_in_E is_in_E_bar is_in_M
             is_in_M_star is_regular_epi monotone_light_factorization
-            pullback_mono_check reflective_factorization verify_stable_units
-        """,
-        "oracle": """
-            EnumerationCapError brute_force_in_N enumerate_morphisms enumerate_preorders
+            reflective_factorization
         """,
         "pretorsion": """
             Decomposition NExactSequence NKernel Reflection canonical_sequence
-            decompose generators hom_is_trivial ideal_factorization in_ideal_N
+            decompose generators ideal_factorization in_ideal_N
             n_kernel recompose reflect reflect_morphism sym_core
         """,
         "relations": """
-            FinPreorder FinSet PreordMorphism Pullback Relation RelationPredicates
-            SetMap compose_morphisms compose_relations direct_image graph_relation
+            FinPreorder FinSet PreordMorphism Pullback Relation SetMap
+            compose_morphisms compose_relations direct_image graph_relation
             identity_map identity_morphism inverse_image is_isomorphism
             is_pullback_square kernel_pair meet opposite preord_pullback
-            reflexive_transitive_closure relation_predicates
-            relation_square_is_pullback
+            reflexive_transitive_closure
         """,
     }.items()
     for name in (module, *names.split())

@@ -28,7 +28,6 @@ from .relations import (
     _pulled_back,
     compose_morphisms,
     direct_image,
-    is_pullback_square,
     kernel_pair,
     meet,
     preord_pullback,
@@ -54,9 +53,6 @@ __all__ = [
     "reflective_factorization",
     "monotone_light_factorization",
     "effective_descent_cover",
-    "fibre_poset_lemma",
-    "verify_stable_units",
-    "pullback_mono_check",
     "check_orthogonality",
 ]
 
@@ -201,6 +197,7 @@ def is_effective_descent(f: PreordMorphism) -> bool:
     return _effective_descent_counterexample(f) is None
 
 
+# in the field order of ``MorphismClassification``
 _FLAG_CHECKS = {
     "fully_faithful": _fully_faithful_counterexample,
     "regular_epi": _regular_epi_counterexample,
@@ -242,15 +239,21 @@ class MorphismClassification:
 
 
 def classify(f: PreordMorphism) -> MorphismClassification:
-    """Evaluate every morphism class on ``f`` at once."""
-    flags = {}
+    """Evaluate every morphism class on ``f`` at once.
+
+    The four implications the constructor checks hold by construction, so
+    the record is built unchecked: the ``in_E`` test starts with the fully
+    faithful one, a surjection hits every core class, a trivial covering's
+    fibre meets each core class in one point, and effective descent lifts
+    the chains ``b = b = b`` and ``b1 ≤ b2 = b2``."""
+    flags = []
     counterexamples = {}
     for name, check in _FLAG_CHECKS.items():
         ce = check(f)
-        flags[name] = ce is None
+        flags.append(ce is None)
         if ce is not None:
             counterexamples[name] = ce
-    return MorphismClassification(counterexamples=counterexamples, **flags)
+    return _built(MorphismClassification, *flags, counterexamples)
 
 
 @dataclass(frozen=True)
@@ -387,51 +390,6 @@ def effective_descent_cover(b: FinPreorder) -> Cover:
     total = _built(FinPreorder, carrier, _built(Relation, carrier, carrier, rows))
     projection = _built(PreordMorphism, total, b, _built(SetMap, carrier, b.carrier, tuple(values)))
     return Cover(total, projection)
-
-
-def fibre_poset_lemma(f: PreordMorphism) -> bool:
-    """With a partial-order target and partial-order fibres, the source is a
-    partial order; evaluates and returns that conclusion."""
-    if not f.dst.is_partial_order():
-        raise ValueError("precondition violation: target must be a partial order")
-    ce = _fibre_poset_counterexample(f)
-    if ce is not None:
-        raise ValueError(
-            f"precondition violation: fibre over {f(ce[0])} is not a partial order"
-        )
-    return f.src.is_partial_order()
-
-
-def verify_stable_units(x: FinPreorder, g: PreordMorphism) -> bool:
-    """Check that reflecting the pullback of the unit of ``x`` along ``g``
-    yields a pullback square again.  Always true; returns the verdict."""
-    poset, unit = reflect(x)
-    if g.dst != poset:
-        raise ValueError("codomain mismatch: map must target the reflection of x")
-    pb = preord_pullback(unit, g)
-    return is_pullback_square(
-        top=reflect_morphism(pb.p2),
-        left=reflect_morphism(pb.p1),
-        right=reflect_morphism(g),
-        bottom=reflect_morphism(unit),
-    )
-
-
-def pullback_mono_check(f: PreordMorphism) -> tuple[bool, bool]:
-    """For a map of equivalence-relation objects, evaluate both sides of the
-    pullback-iff-mono criterion.
-
-    Returns whether the source relation is the pulled-back target relation,
-    and whether the induced map on class sets is injective.  The two
-    booleans always agree.
-    """
-    if not f.src.is_equivalence():
-        raise ValueError("precondition violation: source must be an equivalence relation")
-    if not f.dst.is_equivalence():
-        raise ValueError("precondition violation: target must be an equivalence relation")
-    pulled_back = _pulled_back(f) == f.src.rel.rows
-    induced = reflect_morphism(f)
-    return (pulled_back, induced.is_injective())
 
 
 def check_orthogonality(

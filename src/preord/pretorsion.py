@@ -47,7 +47,6 @@ __all__ = [
     "canonical_sequence",
     "decompose",
     "recompose",
-    "hom_is_trivial",
 ]
 
 
@@ -286,17 +285,3 @@ def recompose(d: Decomposition) -> FinPreorder:
         raise ValueError("quotient order must be antisymmetric")
     return _built(FinPreorder, d.equiv.src, inverse_image(d.section_data, d.quotient_order.rel))
 
-
-def hom_is_trivial(t: FinPreorder, fp: FinPreorder) -> bool:
-    """Exhaustively check that every monotone map from an equivalence-relation
-    object to a partial order factors through a discrete object.
-
-    Always true; this operation exists as a checkable statement of that fact.
-    """
-    if not t.is_equivalence():
-        raise ValueError("first argument must be an equivalence relation")
-    if not fp.is_partial_order():
-        raise ValueError("second argument must be a partial order")
-    from .oracle import enumerate_morphisms
-
-    return all(in_ideal_N(f) for f in enumerate_morphisms(t, fp))

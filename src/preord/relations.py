@@ -37,7 +37,6 @@ __all__ = [
     "SetMap",
     "FinPreorder",
     "PreordMorphism",
-    "RelationPredicates",
     "Pullback",
     "compose_relations",
     "opposite",
@@ -46,7 +45,6 @@ __all__ = [
     "inverse_image",
     "kernel_pair",
     "graph_relation",
-    "relation_predicates",
     "reflexive_transitive_closure",
     "identity_map",
     "compose_maps",
@@ -55,7 +53,6 @@ __all__ = [
     "is_isomorphism",
     "preord_pullback",
     "is_pullback_square",
-    "relation_square_is_pullback",
     "row_classes",
     "class_map",
     "quotient",
@@ -475,29 +472,6 @@ def _excess(rows: Sequence[int], bound: Sequence[int]) -> tuple[int, int] | None
 
 
 @dataclass(frozen=True)
-class RelationPredicates:
-    reflexive: bool
-    transitive: bool
-    symmetric: bool
-    antisymmetric: bool
-
-
-def relation_predicates(r: Relation) -> RelationPredicates:
-    """The four standard pointwise flags of an endorelation."""
-    _require_endorelation(r)
-    n = r.src.size
-    rows = r.rows
-    reflexive = all(rows[i] >> i & 1 for i in range(n))
-    transitive = _excess(_or_rows(rows, rows), rows) is None  # R∘R ⊆ R
-    cols = r.columns()
-    symmetric = rows == cols
-    antisymmetric = all(
-        rows[i] & cols[i] & ~(1 << i) == 0 for i in range(n)
-    )
-    return RelationPredicates(reflexive, transitive, symmetric, antisymmetric)
-
-
-@dataclass(frozen=True)
 class FinPreorder:
     """A finite preorder: a carrier plus a reflexive transitive endorelation."""
 
@@ -800,23 +774,6 @@ def is_pullback_square(
         return False
     pulled = zip(_pulled_back(left), _pulled_back(top))
     return tuple(r & q for r, q in pulled) == top.src.rel.rows
-
-
-def relation_square_is_pullback(f: SetMap, r: Relation, s: Relation) -> bool:
-    """Whether the square of ``r`` over ``s`` along ``f x f`` is a pullback.
-
-    ``r`` sits over ``dom x dom`` and ``s`` over ``cod x cod``; commuting
-    means ``r`` maps into ``s``.  True iff ``r`` equals the inverse image
-    of ``s``.
-    """
-    _require_endorelation(r)
-    _require_endorelation(s)
-    if r.src != f.dom or s.src != f.cod:
-        raise ValueError("carrier mismatch: relations do not match the map")
-    pulled = inverse_image(f, s)
-    if not r.is_subrelation_of(pulled):
-        raise ValueError("square does not commute: relation does not map into the target")
-    return pulled == r
 
 
 def row_classes(rows: Sequence[int]) -> list[list[int]]:

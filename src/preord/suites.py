@@ -10,7 +10,8 @@ implementations can be fed through the same net.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from . import alexandroff as alx
 from . import docio
@@ -21,8 +22,10 @@ from .relations import (
     FinPreorder,
     FinSet,
     PreordMorphism,
+    Relation,
     SetMap,
     _excess,
+    _or_rows,
     _preorder_failure,
     _pulled_back,
     compose_morphisms,
@@ -32,8 +35,6 @@ from .relations import (
     is_pullback_square,
     kernel_pair,
     preord_pullback,
-    relation_predicates,
-    relation_square_is_pullback,
 )
 
 __all__ = [
@@ -104,6 +105,29 @@ def _random_preorders(rng: random.Random, count: int, max_size: int):
 # instance checks
 
 
+class _Predicates(NamedTuple):
+    reflexive: bool
+    transitive: bool
+    symmetric: bool
+    antisymmetric: bool
+
+
+def _relation_predicates(r: Relation) -> _Predicates:
+    """The four standard pointwise flags of an endorelation, read off its
+    rows and columns, independently of ``FinPreorder``'s equal-rows
+    readings."""
+    rows = r.rows
+    cols = r.columns()
+    return _Predicates(
+        reflexive=all(row >> i & 1 for i, row in enumerate(rows)),
+        transitive=_excess(_or_rows(rows, rows), rows) is None,  # R∘R ⊆ R
+        symmetric=rows == cols,
+        antisymmetric=all(
+            row & col & ~(1 << i) == 0 for i, (row, col) in enumerate(zip(rows, cols))
+        ),
+    )
+
+
 def _is_monotone(src: FinPreorder, dst: FinPreorder, f: PreordMorphism) -> bool:
     """Whether ``f`` is monotone from ``src`` to ``dst``, by the inclusion
     ``≤_src ⊆ f*(≤_dst)`` that ``PreordMorphism`` tests; library results are
@@ -116,7 +140,7 @@ def check_reflection_parts(
 ) -> str | None:
     """The quotient must be an antisymmetric surjective image whose relation
     pulls back to the original one, matching the definitional construction."""
-    flags = relation_predicates(poset.rel)
+    flags = _relation_predicates(poset.rel)
     if not (flags.reflexive and flags.transitive):
         return "quotient is not a preorder"
     if not flags.antisymmetric:
@@ -125,7 +149,7 @@ def check_reflection_parts(
         return "unit is not monotone"
     if not unit.is_surjective():
         return "unit is not surjective"
-    if not relation_square_is_pullback(unit.map, p.rel, poset.rel):
+    if inverse_image(unit.map, poset.rel) != p.rel:
         return "relation square over the unit is not a pullback"
     witness = oracle.reflect_by_quotient(p)
     if witness.poset != poset or witness.unit.map != unit.map:
@@ -137,7 +161,7 @@ def check_reflection_parts(
 
 def check_sym_core(p: FinPreorder) -> str | None:
     core = pre.sym_core(p)
-    flags = relation_predicates(core)
+    flags = _relation_predicates(core)
     if not (flags.reflexive and flags.transitive and flags.symmetric):
         return "symmetric core is not an equivalence relation"
     if core != kernel_pair(oracle.reflect_by_quotient(p).unit.map):
@@ -157,6 +181,18 @@ def check_canonical_sequence(p: FinPreorder) -> str | None:
     ok, why = oracle.universal_n_cokernel(seq.torsion_part, seq.free_part)
     if not ok:
         return f"cokernel universal property fails: {why}"
+    return None
+
+
+def check_trivial_homs(t: FinPreorder, fp: FinPreorder) -> str | None:
+    """Every monotone map from the equivalence-relation object ``t`` to the
+    partial order ``fp`` lies in the ideal, by the pointwise test and by the
+    factorization search."""
+    for g in oracle.enumerate_morphisms(t, fp):
+        if not pre.in_ideal_N(g):
+            return "a monotone map misses the ideal"
+        if not oracle.brute_force_in_N(g):
+            return "factorization search rejects a map the ideal test accepts"
     return None
 
 
@@ -288,15 +324,18 @@ def _topological_m_star(f: PreordMorphism) -> bool:
 
 def check_m_star_agreement(f: PreordMorphism) -> str | None:
     """The three covering tests: fibre antisymmetry, relative-kernel
-    antisymmetry, and T0 fibres of the associated continuous map."""
+    antisymmetry, and T0 fibres of the associated continuous map; and the
+    lemma that a covering of a partial order has a partial-order source."""
     fibre_test = fct.is_in_M_star(f)
-    kernel_test = relation_predicates(pre.n_kernel(f).K.rel).antisymmetric
+    kernel_test = _relation_predicates(pre.n_kernel(f).K.rel).antisymmetric
     topo_test = _topological_m_star(f)
     if not fibre_test == kernel_test == topo_test:
         return (
             f"covering tests disagree: fibres={fibre_test} "
             f"kernel={kernel_test} topology={topo_test}"
         )
+    if fibre_test and f.dst.is_partial_order() and not f.src.is_partial_order():
+        return "partial-order fibres over a partial order, but the source is not one"
     return None
 
 
@@ -342,7 +381,7 @@ def check_cover_parts(
 ) -> str | None:
     if total.size != 3 * b.size:
         return f"cover has {total.size} elements, expected {3 * b.size}"
-    flags = relation_predicates(total.rel)
+    flags = _relation_predicates(total.rel)
     if not (flags.reflexive and flags.transitive):
         return "cover is not a preorder"
     if not flags.antisymmetric:
@@ -351,8 +390,8 @@ def check_cover_parts(
         return "cover projection is not monotone"
     if not projection.is_surjective():
         return "cover projection is not surjective"
-    if not fct.is_effective_descent(projection):
-        ce = fct._effective_descent_counterexample(projection)
+    ce = fct._effective_descent_counterexample(projection)
+    if ce is not None:
         return f"chain {ce} does not lift through the cover"
     return None
 
@@ -413,13 +452,26 @@ def check_factorization_uniqueness(f: PreordMorphism) -> str | None:
 
 
 def check_stable_units(x: FinPreorder, g: PreordMorphism) -> str | None:
-    if not fct.verify_stable_units(x, g):
+    """Reflecting the pullback of the unit of ``x`` along ``g``, a map into
+    the reflection of ``x``, gives a pullback square again."""
+    unit = pre.reflect(x).unit
+    pb = preord_pullback(unit, g)
+    if not is_pullback_square(
+        top=pre.reflect_morphism(pb.p2),
+        left=pre.reflect_morphism(pb.p1),
+        right=pre.reflect_morphism(g),
+        bottom=pre.reflect_morphism(unit),
+    ):
         return "reflected unit pullback is not a pullback"
     return None
 
 
 def check_pullback_mono(f: PreordMorphism) -> str | None:
-    pulled, injective = fct.pullback_mono_check(f)
+    """For a map of equivalence-relation objects, the source relation is the
+    pulled-back target relation exactly when the induced map of class sets
+    is injective."""
+    pulled = _pulled_back(f) == f.src.rel.rows
+    injective = pre.reflect_morphism(f).is_injective()
     if pulled != injective:
         return f"pullback criterion {pulled} disagrees with injectivity {injective}"
     return None
@@ -494,7 +546,13 @@ def check_t0_reflection_agreement(p: FinPreorder) -> str | None:
 
 
 def check_classify_continuous_agreement(f: PreordMorphism) -> str | None:
+    """The order and topological classifications agree; the order one, built
+    unchecked, must also pass its public constructor's implications."""
     order_flags = fct.classify(f)
+    try:
+        replace(order_flags)
+    except ValueError as exc:
+        return str(exc)
     cm = alx.ContinuousMap(
         alx.preorder_to_space(f.src), alx.preorder_to_space(f.dst), f.map
     )
@@ -562,21 +620,9 @@ def suite_pretorsion(max_n: int = 3, seed: int = 0) -> SuiteReport:
     equivalences = [p for p in objects if p.is_equivalence()]
     posets = [p for p in objects if p.is_partial_order()]
 
-    def hom_pairs():
-        for t in equivalences:
-            for f in posets:
-                yield (t, f)
-
-    def check_trivial(pair):
-        t, f = pair
-        if not pre.hom_is_trivial(t, f):
-            return "a monotone map misses the ideal"
-        for g in oracle.enumerate_morphisms(t, f):
-            if not oracle.brute_force_in_N(g):
-                return "factorization search rejects a map the ideal test accepts"
-        return None
-
-    _sweep(report, "equivalence-to-poset homs are trivial", hom_pairs(), check_trivial)
+    hom_pairs = [(t, f) for t in equivalences for f in posets]
+    _sweep(report, "equivalence-to-poset homs are trivial", hom_pairs,
+           lambda pair: check_trivial_homs(*pair))
     _sweep(report, "canonical sequence universal properties", objects, check_canonical_sequence)
     _sweep(report, "symmetric core is an equivalence", objects, check_sym_core)
     _sweep(

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import hashlib
 import inspect
 import random
@@ -506,24 +507,22 @@ def test_module_entry_point(running_file):
     assert "P.quotient" in proc.stdout
 
 
-# the names ``from preord import *`` binds; the oracle's among them are
-# imported on first access
+# the names ``from preord import *`` binds: the library layers and their
+# public names, each imported on first access
 PUBLIC_NAMES = """
 AlexandroffSpace ContinuousClassification ContinuousMap Cover Decomposition
-EnumerationCapError FactorizationResult FinPreorder FinSet MorphismClassification
-NExactSequence NKernel OrthogonalityError PreordMorphism Pullback Reflection
-Relation RelationPredicates SetMap T0Reflection alexandroff brute_force_in_N
-canonical_sequence check_orthogonality classify classify_continuous closure_of_point
-compose_morphisms compose_relations decompose direct_image effective_descent_cover
-enumerate_morphisms enumerate_preorders factorization fibre_poset_lemma generators
-graph_relation hom_is_trivial ideal_factorization identity_map identity_morphism
-in_ideal_N inverse_image is_T0 is_effective_descent is_fully_faithful is_in_E
-is_in_E_bar is_in_M is_in_M_star is_isomorphism is_partition is_pullback_square
+FactorizationResult FinPreorder FinSet MorphismClassification NExactSequence
+NKernel OrthogonalityError PreordMorphism Pullback Reflection Relation SetMap
+T0Reflection alexandroff canonical_sequence check_orthogonality classify
+classify_continuous closure_of_point compose_morphisms compose_relations
+decompose direct_image effective_descent_cover factorization generators
+graph_relation ideal_factorization identity_map identity_morphism in_ideal_N
+inverse_image is_T0 is_effective_descent is_fully_faithful is_in_E is_in_E_bar
+is_in_M is_in_M_star is_isomorphism is_partition is_pullback_square
 is_regular_epi kernel_pair meet min_open monotone_light_factorization n_kernel
-opposite oracle preord_pullback preorder_to_space pretorsion pullback_mono_check
-recompose reflect reflect_morphism reflective_factorization
-reflexive_transitive_closure relation_predicates relation_square_is_pullback
-relations space_to_preorder subspace sym_core t0_reflection verify_stable_units
+opposite preord_pullback preorder_to_space pretorsion recompose reflect
+reflect_morphism reflective_factorization reflexive_transitive_closure
+relations space_to_preorder subspace sym_core t0_reflection
 """.split()
 
 
@@ -543,7 +542,35 @@ def _modules_after(*argvs):
     return set(proc.stdout.split())
 
 
+def _verifier_imports(module: str) -> set[str]:
+    """The functions of ``preord.<module>`` whose body imports the oracle or
+    the suites, with ``"<module>"`` for an import at module level; read from
+    the source with ``ast``, without importing it."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [f"{child.module or ''}.{alias.name}" for alias in child.names]
+            else:
+                names = []
+            if any({"oracle", "suites"} & set(name.split(".")) for name in names):
+                found.add(scope)
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else scope)
+
+    visit(ast.parse((Path(preord.__file__).parent / f"{module}.py").read_text()), "<module>")
+    return found
+
+
 class TestImportBoundary:
+    def test_only_cmd_check_imports_the_oracle_or_the_suites(self):
+        layers = ("relations", "pretorsion", "factorization", "alexandroff", "docio", "cli")
+        assert {m: _verifier_imports(m) for m in layers} == {
+            **{m: set() for m in layers}, "cli": {"cmd_check"}
+        }
+
     def test_commands_that_do_not_check_load_neither_suites_nor_oracle(self, morphism_file):
         loaded = _modules_after(
             ["reflect", morphism_file, "-o", "P"],
@@ -589,10 +616,11 @@ class TestImportBoundary:
         assert sorted(set(namespace) - {"__builtins__"}) == sorted(PUBLIC_NAMES)
         assert set(PUBLIC_NAMES) <= set(dir(preord))
 
-    def test_oracle_exports_are_the_oracle_objects(self):
-        assert preord.oracle is oracle
-        for name in ("EnumerationCapError", "brute_force_in_N", "enumerate_morphisms", "enumerate_preorders"):
-            assert getattr(preord, name) is getattr(oracle, name)
+    def test_the_oracle_is_imported_by_module_path(self):
+        assert not {"oracle", *oracle.__all__} & set(preord.__all__)
+        namespace = {}
+        exec("from preord import oracle", namespace)
+        assert namespace["oracle"] is preord.oracle
 
     def test_unknown_attribute_is_a_standard_attribute_error(self):
         with pytest.raises(AttributeError, match="^module 'preord' has no attribute 'no_such_name'$"):

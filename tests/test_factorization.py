@@ -13,7 +13,6 @@ from preord.factorization import (
     check_orthogonality,
     classify,
     effective_descent_cover,
-    fibre_poset_lemma,
     is_effective_descent,
     is_fully_faithful,
     is_in_E,
@@ -22,9 +21,7 @@ from preord.factorization import (
     is_in_M_star,
     is_regular_epi,
     monotone_light_factorization,
-    pullback_mono_check,
     reflective_factorization,
-    verify_stable_units,
 )
 from preord import factorization, pretorsion, relations
 from preord.oracle import (
@@ -45,9 +42,17 @@ from preord.relations import (
     identity_morphism,
     is_isomorphism,
     preord_pullback,
-    relation_predicates,
 )
-from preord.suites import check_factorization_parts, check_factorization_uniqueness
+from preord import suites
+from preord.suites import (
+    _relation_predicates,
+    check_classify_continuous_agreement,
+    check_factorization_parts,
+    check_factorization_uniqueness,
+    check_m_star_agreement,
+    check_pullback_mono,
+    check_stable_units,
+)
 
 
 def to_point(p):
@@ -198,6 +203,17 @@ class TestClassify:
                 in_M_star=True,
                 effective_descent=False,
             )
+
+    def test_suites_rebuild_the_unchecked_record(self, monkeypatch):
+        # in_E without fully_faithful, as a classify built unchecked could return
+        inconsistent = _built(
+            MorphismClassification, False, False, True, False, False, False, False, {}
+        )
+        monkeypatch.setattr(factorization, "classify", lambda f: inconsistent)
+        f = identity_morphism(FinPreorder.chain(2))
+        assert check_classify_continuous_agreement(f) == (
+            "classification invariant violated: in_E without fully_faithful"
+        )
 
 
 def random_fully_faithful(rng, max_size):
@@ -459,33 +475,26 @@ class TestEffectiveDescentCover:
 
 
 class TestFibrePosetLemma:
+    """A covering of a partial order has a partial-order source: the clause
+    ``suites.check_m_star_agreement`` adds after its three covering tests."""
+
     def test_identity_on_poset(self):
-        assert fibre_poset_lemma(identity_morphism(FinPreorder.chain(3)))
+        assert check_m_star_agreement(identity_morphism(FinPreorder.chain(3))) is None
 
     def test_pullback_of_covering_along_cover(self):
         b = running_example()
-        f = to_point(b)  # not used; build a covering into b instead
         covering = morph(FinPreorder.chain(2), b, (0, 2))
         assert is_in_M_star(covering)
         cover = effective_descent_cover(b)
         pulled = preord_pullback(cover.projection, covering).p1
-        assert fibre_poset_lemma(pulled)
-
-    def test_rejects_non_poset_target(self):
-        with pytest.raises(ValueError, match="partial order"):
-            fibre_poset_lemma(identity_morphism(FinPreorder.codiscrete(2)))
-
-    def test_rejects_non_poset_fibre(self):
-        f = to_point(FinPreorder.codiscrete(2))
-        with pytest.raises(ValueError, match="fibre"):
-            fibre_poset_lemma(f)
+        assert is_in_M_star(pulled) and pulled.dst.is_partial_order()
+        assert check_m_star_agreement(pulled) is None
+        assert pulled.src.is_partial_order()
 
     def test_randomized_coverings_over_posets(self):
         # covering legs over partial orders satisfy the premises, so the
         # lemma must conclude that their sources are partial orders
-        import random
-
-        from preord.oracle import random_monotone_map, random_preorder
+        from preord.oracle import random_monotone_map
 
         rng = random.Random(4)
         produced = 0
@@ -497,8 +506,21 @@ class TestFibrePosetLemma:
                 continue
             g = PreordMorphism(src, base, mapping)
             covering = monotone_light_factorization(g).m
-            assert fibre_poset_lemma(covering)
+            assert check_m_star_agreement(covering) is None
+            assert covering.src.is_partial_order()
             produced += 1
+
+    def test_fires_when_the_covering_tests_agree_wrongly(self, monkeypatch):
+        # codiscrete(2) -> point has a codiscrete fibre; force all three
+        # covering tests to call it a covering, so only the lemma can object
+        monkeypatch.setattr(factorization, "is_in_M_star", lambda f: True)
+        monkeypatch.setattr(suites, "_topological_m_star", lambda f: True)
+        monkeypatch.setattr(
+            suites, "_relation_predicates", lambda r: suites._Predicates(True, True, True, True)
+        )
+        assert check_m_star_agreement(to_point(FinPreorder.codiscrete(2))) == (
+            "partial-order fibres over a partial order, but the source is not one"
+        )
 
 
 class TestStableUnits:
@@ -506,7 +528,7 @@ class TestStableUnits:
         x = FinPreorder.chain(2)
         poset = reflect(x).poset
         g = identity_morphism(poset)
-        assert verify_stable_units(x, g)
+        assert check_stable_units(x, g) is None
 
     def test_point_probe(self):
         x = running_example()
@@ -514,12 +536,12 @@ class TestStableUnits:
         point = FinPreorder.discrete(1)
         for target in range(poset.size):
             g = morph(point, poset, (target,))
-            assert verify_stable_units(x, g)
+            assert check_stable_units(x, g) is None
 
     def test_codomain_mismatch(self):
         x = running_example()
         with pytest.raises(ValueError, match="codomain mismatch"):
-            verify_stable_units(x, identity_morphism(x))
+            check_stable_units(x, identity_morphism(x))
 
 
 class TestPullbackMono:
@@ -527,17 +549,15 @@ class TestPullbackMono:
         src = FinPreorder.from_edges(3, [(0, 1), (1, 0)])
         dst = FinPreorder.discrete(2)
         f = morph(src, dst, (0, 0, 1))
-        assert pullback_mono_check(f) == (True, True)
+        assert check_pullback_mono(f) is None
+        assert reflect_morphism(f).is_injective()
 
     def test_discrete_refinement_fails_both(self):
         src = FinPreorder.discrete(2)
         dst = FinPreorder.discrete(1)
         f = morph(src, dst, (0, 0))
-        assert pullback_mono_check(f) == (False, False)
-
-    def test_precondition(self):
-        with pytest.raises(ValueError, match="equivalence"):
-            pullback_mono_check(identity_morphism(FinPreorder.chain(2)))
+        assert check_pullback_mono(f) is None
+        assert not reflect_morphism(f).is_injective()
 
 
 class TestOrthogonality:
@@ -618,7 +638,7 @@ class TestClassAgreements:
     @settings(max_examples=60)
     def test_covering_tests_agree(self, f):
         fibre_test = is_in_M_star(f)
-        kernel_test = relation_predicates(n_kernel(f).K.rel).antisymmetric
+        kernel_test = _relation_predicates(n_kernel(f).K.rel).antisymmetric
         assert fibre_test == kernel_test
 
     @given(sts.monotone_maps(max_size=5))

@@ -36,8 +36,8 @@ from preord.relations import (
     meet,
     opposite,
     preord_pullback,
-    relation_predicates,
 )
+from preord.suites import _relation_predicates
 
 
 def to_point(p):
@@ -89,7 +89,7 @@ def test_mutation_sym_core_without_opposite():
     def corrupt_sym_core(p):
         return p.rel
 
-    flags = relation_predicates(corrupt_sym_core(FinPreorder.chain(2)))
+    flags = _relation_predicates(corrupt_sym_core(FinPreorder.chain(2)))
     assert not flags.symmetric  # the equivalence-relation check fires
 
 

@@ -21,7 +21,6 @@ from preord.pretorsion import (
     canonical_sequence,
     decompose,
     generators,
-    hom_is_trivial,
     ideal_factorization,
     in_ideal_N,
     n_kernel,
@@ -42,9 +41,8 @@ from preord.relations import (
     meet,
     opposite,
     reflexive_transitive_closure,
-    relation_predicates,
-    relation_square_is_pullback,
 )
+from preord.suites import _relation_predicates, check_reflection_parts, check_trivial_homs
 
 
 def running_example():
@@ -72,7 +70,7 @@ class TestSymCore:
     @given(sts.preorders(max_size=50))
     @settings(max_examples=30)
     def test_always_an_equivalence(self, p):
-        flags = relation_predicates(sym_core(p))
+        flags = _relation_predicates(sym_core(p))
         assert flags.reflexive and flags.transitive and flags.symmetric
         assert sym_core(p) == meet(p.rel, opposite(p.rel))
 
@@ -113,7 +111,7 @@ class TestReflect:
     def test_unit_square_is_pullback(self, p):
         poset, unit = reflect(p)
         assert inverse_image(unit.map, poset.rel) == p.rel
-        assert relation_square_is_pullback(unit.map, p.rel, poset.rel)
+        assert check_reflection_parts(p, poset, unit) is None
 
     @given(sts.preorders(max_size=12))
     def test_idempotent_up_to_isomorphism(self, p):
@@ -333,13 +331,7 @@ class TestHomTriviality:
         t = FinPreorder.codiscrete(2)
         fp = FinPreorder.chain(2)
         assert len(list(enumerate_morphisms(t, fp))) == 2
-        assert hom_is_trivial(t, fp)
+        assert check_trivial_homs(t, fp) is None
 
     def test_discrete_source(self):
-        assert hom_is_trivial(FinPreorder.discrete(3), FinPreorder.chain(3))
-
-    def test_precondition_errors(self):
-        with pytest.raises(ValueError, match="equivalence"):
-            hom_is_trivial(FinPreorder.chain(2), FinPreorder.chain(2))
-        with pytest.raises(ValueError, match="partial order"):
-            hom_is_trivial(FinPreorder.discrete(2), FinPreorder.codiscrete(2))
+        assert check_trivial_homs(FinPreorder.discrete(3), FinPreorder.chain(3)) is None

@@ -23,6 +23,7 @@ from preord.oracle import (
     universal_pullback,
 )
 from preord.relations import (
+    _built,
     _excess,
     _or_rows,
     _scc_classes,
@@ -48,10 +49,9 @@ from preord.relations import (
     preord_pullback,
     quotient,
     reflexive_transitive_closure,
-    relation_predicates,
-    relation_square_is_pullback,
     row_classes,
 )
+from preord.suites import _relation_predicates, check_reflection_parts
 
 TWO = FinSet(2)
 THREE = FinSet(3)
@@ -241,19 +241,19 @@ class TestKernelPair:
 
 class TestPredicates:
     def test_diagonal(self):
-        flags = relation_predicates(Relation.diagonal(THREE))
+        flags = _relation_predicates(Relation.diagonal(THREE))
         assert (flags.reflexive, flags.transitive, flags.symmetric, flags.antisymmetric) == (
             True, True, True, True,
         )
 
     def test_full(self):
-        flags = relation_predicates(Relation.full(TWO, TWO))
+        flags = _relation_predicates(Relation.full(TWO, TWO))
         assert (flags.reflexive, flags.transitive, flags.symmetric, flags.antisymmetric) == (
             True, True, True, False,
         )
 
     def test_two_chain(self):
-        flags = relation_predicates(rel(TWO, TWO, [(0, 0), (1, 1), (0, 1)]))
+        flags = _relation_predicates(rel(TWO, TWO, [(0, 0), (1, 1), (0, 1)]))
         assert (flags.reflexive, flags.transitive, flags.symmetric, flags.antisymmetric) == (
             True, True, False, True,
         )
@@ -263,7 +263,7 @@ class TestPredicates:
         for n in range(5):
             for p in enumerate_preorders(n):
                 seen += 1
-                flags = relation_predicates(p.rel)
+                flags = _relation_predicates(p.rel)
                 assert p.is_partial_order() == flags.antisymmetric
                 assert p.is_equivalence() == flags.symmetric
                 posets += flags.antisymmetric
@@ -455,17 +455,26 @@ class TestPullbackSquare:
             is_pullback_square(top=up, left=up, right=swap, bottom=identity_morphism(swap_target))
 
     def test_relation_square_subrelation_is_not_pullback(self):
-        f = f_three_to_two()
-        s = rel(TWO, TWO, [(0, 0), (1, 1), (0, 1)])
-        proper = rel(THREE, THREE, [(0, 0), (1, 1), (2, 2), (0, 2)])
-        assert not relation_square_is_pullback(f, proper, s)
-        assert relation_square_is_pullback(f, inverse_image(f, s), s)
+        # a unit's relation square is a pullback when the source relation is
+        # the inverse image of the target's, as ``check_reflection_parts`` asks
+        classes = FinSet(2, ("{0,1}", "{2}"))
+        f = SetMap(THREE, classes, f_three_to_two().values)
+        s = FinPreorder(classes, rel(classes, classes, [(0, 0), (1, 1), (0, 1)]))
+        proper = FinPreorder(THREE, rel(THREE, THREE, [(0, 0), (1, 1), (2, 2), (0, 2)]))
+        pulled = FinPreorder(THREE, inverse_image(f, s.rel))
+        assert check_reflection_parts(proper, s, PreordMorphism(proper, s, f)) == (
+            "relation square over the unit is not a pullback"
+        )
+        assert check_reflection_parts(pulled, s, PreordMorphism(pulled, s, f)) is None
 
     def test_relation_square_requires_commuting(self):
+        # a relation that does not map into the target's is a unit that is
+        # not monotone, reported before the pullback test
         f = f_three_to_two()
-        too_big = Relation.full(THREE, THREE)
-        with pytest.raises(ValueError, match="does not commute"):
-            relation_square_is_pullback(f, too_big, Relation.diagonal(TWO))
+        too_big = FinPreorder(THREE, Relation.full(THREE, THREE))
+        s = FinPreorder(TWO, Relation.diagonal(TWO))
+        unit = _built(PreordMorphism, too_big, s, f)
+        assert check_reflection_parts(too_big, s, unit) == "unit is not monotone"
 
 
 class TestCarrierValidation:
@@ -617,7 +626,7 @@ class TestCoveredValidation:
                 seen += 1
                 bad = _transitivity_failure(carrier, rows)
                 assert (bad is None) == transitive_by_pairs(rows)
-                assert relation_predicates(Relation(carrier, carrier, rows)).transitive == (bad is None)
+                assert _relation_predicates(Relation(carrier, carrier, rows)).transitive == (bad is None)
                 if bad is None:
                     AlexandroffSpace(carrier, rows)
                     continue
