@@ -19,11 +19,11 @@ from .relations import (
     SetMap,
     _bits,
     _built,
+    _class_map,
     _fresh_carrier,
     _excess,
     _or_rows,
     _pull,
-    class_map,
     direct_image,
     opposite,
     row_classes,
@@ -170,10 +170,11 @@ class T0Reflection(NamedTuple):
 def t0_reflection(s: AlexandroffSpace) -> T0Reflection:
     """Identify points with equal minimal neighborhoods (equivalently, equal
     closures); the quotient is the finest T0 image and the projection is
-    continuous.  Any member of a class may stand for it, as in
-    ``relations.quotient``, so both are built unchecked, as is the relation
+    continuous.  The classes partition the points by construction, and any
+    member of a class may stand for it, as in ``relations.quotient``, so
+    the class map and both results are built unchecked, as is the relation
     of the validated neighborhood rows pushed forward."""
-    q = class_map(s.carrier, row_classes(s.min_nbhd))
+    q = _class_map(s.carrier, row_classes(s.min_nbhd))
     nbhds = direct_image(q, _built(Relation, s.carrier, s.carrier, s.min_nbhd)).rows
     quotient = _built(AlexandroffSpace, q.cod, nbhds)
     return T0Reflection(quotient, _built(ContinuousMap, s, quotient, q))

@@ -26,12 +26,10 @@ from .relations import (
     _fresh_carrier,
     _or_rows,
     _pulled_back,
+    _quotient,
     compose_morphisms,
     direct_image,
-    kernel_pair,
-    meet,
     preord_pullback,
-    quotient,
     row_classes,
 )
 from .pretorsion import reflect, reflect_morphism, sym_core
@@ -214,7 +212,8 @@ class MorphismClassification:
     """All class memberships of one monotone map, with counterexamples.
 
     ``counterexamples`` maps each false flag to a concrete element tuple
-    witnessing the failure.
+    witnessing the failure.  The flags decide the hash, which is therefore
+    consistent with equality; the dict itself stays mutable.
     """
 
     fully_faithful: bool
@@ -224,7 +223,7 @@ class MorphismClassification:
     in_E_bar: bool
     in_M_star: bool
     effective_descent: bool
-    counterexamples: dict[str, tuple[int, ...]] = field(default_factory=dict)
+    counterexamples: dict[str, tuple[int, ...]] = field(default_factory=dict, hash=False)
 
     def __post_init__(self) -> None:
         implications = (
@@ -315,16 +314,20 @@ def reflective_factorization(f: PreordMorphism) -> FactorizationResult:
 def monotone_light_factorization(f: PreordMorphism) -> FactorizationResult:
     """Factor ``f`` through the quotient by kernel-pair-meet-symmetric-core.
 
-    The quotient leg is surjective and fully faithful; the remaining leg is
-    a covering, as no two classes in a fibre are core-related.  The classes
-    lie in the kernel pair and the symmetric core, so ``m([a]) = f(a)`` is
-    well defined and monotone; it, its map and the result are built
-    unchecked.
+    Row ``a`` of that meet, ``pre[f(a)] & core[a]``, is the class of ``a``,
+    read off directly.  Core-related elements have equal rows, so the
+    quotient leg is built unchecked.  It is surjective and fully faithful;
+    the remaining leg is a covering, as no two classes in a fibre are
+    core-related.  The classes lie in the kernel pair and the symmetric
+    core, so ``m([a]) = f(a)`` is well defined and monotone; it, its map
+    and the result are built unchecked.
     """
-    classes = row_classes(meet(kernel_pair(f.map), sym_core(f.src)).rows)
-    e = quotient(f.src, classes)
-    m_values = tuple(f(cls[0]) for cls in classes)
-    m_map = _built(SetMap, e.dst.carrier, f.dst.carrier, m_values)
+    values = f.map.values
+    pre = f.map.preimage_masks()
+    core = sym_core(f.src).rows
+    classes = row_classes([pre[v] & c for v, c in zip(values, core)])
+    e = _quotient(f.src, classes)
+    m_map = _built(SetMap, e.dst.carrier, f.dst.carrier, tuple(values[cls[0]] for cls in classes))
     m = _built(PreordMorphism, e.dst, f.dst, m_map)
     return _built(FactorizationResult, e.dst, e, m, "monotone-light")
 

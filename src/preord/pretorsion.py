@@ -21,13 +21,13 @@ from .relations import (
     _excess,
     _fresh_carrier,
     _or_rows,
+    _quotient,
     _row_owners,
     compose_morphisms,
     identity_map,
     inverse_image,
     kernel_pair,
     meet,
-    quotient,
     row_classes,
 )
 
@@ -115,7 +115,8 @@ def reflect(p: FinPreorder) -> Reflection:
     equal.  If ``a ≤ b ≤ a``, transitivity makes each up-set contain the
     other; if the up-sets are equal, reflexivity puts ``b`` in the up-set
     of ``a`` and ``a`` in that of ``b``.  Class indices are ordered by least
-    member.
+    member.  The classes partition ``p`` into equal rows by construction,
+    so the quotient is built unchecked.
 
     The result is memoised on ``p`` itself, outside its dataclass fields, so
     it lives exactly as long as ``p`` and never affects equality or hashing.
@@ -127,7 +128,7 @@ def reflect(p: FinPreorder) -> Reflection:
     memo = p.__dict__.get("_reflection")
     if memo is None:
         copy = _built(FinPreorder, p.carrier, p.rel)
-        unit = quotient(copy, row_classes(p.rel.rows))
+        unit = _quotient(copy, row_classes(p.rel.rows))
         memo = Reflection(unit.dst, unit)
         object.__setattr__(p, "_reflection", memo)
     return memo

@@ -783,20 +783,11 @@ def row_classes(rows: Sequence[int]) -> list[list[int]]:
     return [list(_bits(own)) for own in _row_owners(rows).values()]
 
 
-def class_map(carrier: FinSet, classes: Sequence[Sequence[int]]) -> SetMap:
-    """The map sending each element to the index of its class, onto a
-    carrier labelled ``{a,b}`` by the members of each class, or by the
-    default labels when two classes spell the same label (points ``a``,
-    ``b`` and ``a,b``, with ``a`` and ``b`` in one class).
-
-    ``classes`` must be nonempty lists that together hold every element of
-    ``carrier`` exactly once; otherwise ``ValueError``.  Then every element
-    has one class index in range, so the map is built unchecked.
-    """
-    n = carrier.size
-    values = [0] * n
+def _require_partition(n: int, classes: Sequence[Sequence[int]]) -> None:
+    """Raise ``ValueError`` unless ``classes`` are nonempty lists that
+    together hold every element of ``0..n-1`` exactly once."""
     seen = bytearray(n)
-    for ci, cls in enumerate(classes):
+    for cls in classes:
         if not cls:
             raise ValueError("not a partition: a class is empty")
         for a in cls:
@@ -805,12 +796,42 @@ def class_map(carrier: FinSet, classes: Sequence[Sequence[int]]) -> SetMap:
             if seen[a]:
                 raise ValueError(f"not a partition: element {a} is in two classes")
             seen[a] = 1
-            values[a] = ci
     missing = seen.find(0)
     if missing >= 0:
         raise ValueError(f"not a partition: element {missing} is in no class")
+
+
+def _class_map(carrier: FinSet, classes: Sequence[Sequence[int]]) -> SetMap:
+    """``class_map`` of a partition of ``carrier``, unchecked: every element
+    has one class index in range."""
+    values = [0] * carrier.size
+    for ci, cls in enumerate(classes):
+        for a in cls:
+            values[a] = ci
     cod = _fresh_carrier([_class_label(carrier, cls) for cls in classes])
     return _built(SetMap, carrier, cod, tuple(values))
+
+
+def class_map(carrier: FinSet, classes: Sequence[Sequence[int]]) -> SetMap:
+    """The map sending each element to the index of its class, onto a
+    carrier labelled ``{a,b}`` by the members of each class, or by the
+    default labels when two classes spell the same label (points ``a``,
+    ``b`` and ``a,b``, with ``a`` and ``b`` in one class).
+
+    ``classes`` must be nonempty lists that together hold every element of
+    ``carrier`` exactly once; otherwise ``ValueError``.
+    """
+    _require_partition(carrier.size, classes)
+    return _class_map(carrier, classes)
+
+
+def _quotient(p: FinPreorder, classes: Sequence[Sequence[int]]) -> PreordMorphism:
+    """``quotient`` by a partition of ``p`` into classes of equal rows,
+    unchecked: the class map, its carrier and the pushed-forward relation
+    in one pass.  For the library's own quotients, whose classes are such a
+    partition by construction."""
+    q = _class_map(p.carrier, classes)
+    return _built(PreordMorphism, p, _built(FinPreorder, q.cod, direct_image(q, p.rel)), q)
 
 
 def quotient(p: FinPreorder, classes: Sequence[Sequence[int]]) -> PreordMorphism:
@@ -824,10 +845,10 @@ def quotient(p: FinPreorder, classes: Sequence[Sequence[int]]) -> PreordMorphism
     member of a class may stand for it, so the pushed relation is a
     preorder and the class map monotone; both are built unchecked.
     """
-    q = class_map(p.carrier, classes)
+    _require_partition(p.size, classes)
     rows = p.rel.rows
     for cls in classes:
         for a in cls:
             if rows[a] != rows[cls[0]]:
                 raise ValueError(f"class of {cls[0]} leaves the symmetric core at {a}")
-    return _built(PreordMorphism, p, _built(FinPreorder, q.cod, direct_image(q, p.rel)), q)
+    return _quotient(p, classes)

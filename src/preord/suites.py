@@ -24,10 +24,15 @@ from .relations import (
     PreordMorphism,
     Relation,
     SetMap,
+    _bits,
+    _built,
+    _class_label,
     _excess,
+    _fresh_carrier,
     _or_rows,
     _preorder_failure,
     _pulled_back,
+    _row_owners,
     compose_morphisms,
     direct_image,
     inverse_image,
@@ -266,6 +271,34 @@ def check_kernel_universal(f: PreordMorphism) -> str | None:
     return None
 
 
+def _covering_kernel_is_reflected(f: PreordMorphism, m: PreordMorphism) -> bool:
+    """Whether the relative kernel of the covering leg ``m`` is the
+    reflection of the relative kernel of ``f``, as objects:
+    ``n_kernel(m).K == reflect(n_kernel(f).K).poset``, decided on rows.
+
+    Row ``a`` of ``f``'s kernel ``K`` is ``≤_P[a]`` met with the fibre of
+    ``f(a)``.  The reflection's classes are ``K``'s equal rows in order of
+    least member, its carrier their labels, and its rows ``K``'s direct
+    image along the class map.  Row ``c`` of ``m``'s kernel is row ``c`` of
+    its source met with the fibre of ``m(c)``.
+    """
+    mid = m.src
+    fibres = f.map.preimage_masks()
+    kernel = [row & fibres[v] for row, v in zip(f.src.rel.rows, f.map.values)]
+    classes = [list(_bits(members)) for members in _row_owners(kernel).values()]
+    if _fresh_carrier([_class_label(f.src.carrier, cls) for cls in classes]) != mid.carrier:
+        return False
+    class_of = [0] * len(kernel)
+    for ci, cls in enumerate(classes):
+        for a in cls:
+            class_of[a] = ci
+    expected = [0] * len(classes)
+    for ci, image in zip(class_of, _or_rows(kernel, [1 << c for c in class_of])):
+        expected[ci] |= image
+    fibres = m.map.preimage_masks()
+    return [row & fibres[v] for row, v in zip(mid.rel.rows, m.map.values)] == expected
+
+
 def check_factorization_parts(
     f: PreordMorphism, result: fct.FactorizationResult
 ) -> str | None:
@@ -278,7 +311,9 @@ def check_factorization_parts(
     legs that do not meet are reported, not raised on; the middle object
     by ``FinPreorder``'s own validation; each leg's monotonicity against
     its memoised pulled-back order, which the constructor's
-    fully-faithfulness test then reads again; the composite on values."""
+    fully-faithfulness test then reads again; the composite on values; the
+    covering kernel on rows, without building the kernels or the
+    reflection."""
     mid, e, m = result.mid, result.e, result.m
     if e.dst != mid or m.src != mid:
         return "legs do not meet in the middle object"
@@ -300,10 +335,8 @@ def check_factorization_parts(
         fct.FactorizationResult(result.mid, result.e, result.m, result.system)
     except ValueError as exc:
         return str(exc)
-    if result.system == "monotone-light":
-        expected = pre.reflect(pre.n_kernel(f).K).poset
-        if pre.n_kernel(result.m).K != expected:
-            return "covering kernel is not the reflected relative kernel"
+    if result.system == "monotone-light" and not _covering_kernel_is_reflected(f, m):
+        return "covering kernel is not the reflected relative kernel"
     return None
 
 
@@ -427,16 +460,22 @@ def check_factorization_uniqueness(f: PreordMorphism) -> str | None:
     unique comparison isomorphism, found by diagonal fill.
 
     A transported copy of the middle object along a permutation provides the
-    second factorization.
+    second factorization.  The copy relabels, along the reversal bijection,
+    a factorization that ``check_factorizations`` certifies, so its carrier,
+    object, maps and isomorphisms are built unchecked; both diagonals go
+    through ``check_orthogonality``, which validates its legs and builds the
+    diagonal through the public ``PreordMorphism``.
     """
     light = fct.monotone_light_factorization(f)
     n = light.mid.size
     perm = tuple(reversed(range(n)))
-    carrier = FinSet(n)
-    transport = SetMap(light.mid.carrier, carrier, perm)
-    mid2 = FinPreorder(carrier, direct_image(transport, light.mid.rel))
-    iso = PreordMorphism(light.mid, mid2, transport)
-    iso_inv = PreordMorphism(mid2, light.mid, SetMap(carrier, light.mid.carrier, perm))
+    carrier = _built(FinSet, n, None)
+    transport = _built(SetMap, light.mid.carrier, carrier, perm)
+    mid2 = _built(FinPreorder, carrier, direct_image(transport, light.mid.rel))
+    iso = _built(PreordMorphism, light.mid, mid2, transport)
+    iso_inv = _built(
+        PreordMorphism, mid2, light.mid, _built(SetMap, carrier, light.mid.carrier, perm)
+    )
     e2 = compose_morphisms(iso, light.e)
     m2 = compose_morphisms(light.m, iso_inv)
     try:

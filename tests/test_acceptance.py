@@ -191,6 +191,7 @@ def test_criterion_8_mutation_sensitivity():
         test_mutations.test_mutation_pullback_dropping_element,
         test_mutations.test_mutation_writer_drops_cycle_closing_edges,
         test_mutations.test_mutation_pullback_square_without_order,
+        test_mutations.test_mutation_light_factorization_classes_by_greatest_member,
     ]
     caught = 0
     for mutation in mutations:

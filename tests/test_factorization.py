@@ -37,6 +37,7 @@ from preord.relations import (
     PreordMorphism,
     Relation,
     SetMap,
+    _bits,
     _built,
     compose_morphisms,
     identity_morphism,
@@ -66,6 +67,14 @@ def morph(src, dst, values):
 
 def running_example():
     return FinPreorder.from_edges(3, [(0, 1), (1, 0), (1, 2)])
+
+
+def every_small_map():
+    """The 11 345 monotone maps between preorders on at most three points."""
+    objects = [p for n in range(4) for p in enumerate_preorders(n)]
+    maps = [f for p in objects for q in objects for f in enumerate_morphisms(p, q)]
+    assert len(maps) == 11_345
+    return maps
 
 
 class TestFullyFaithful:
@@ -203,6 +212,14 @@ class TestClassify:
                 in_M_star=True,
                 effective_descent=False,
             )
+
+    def test_equal_records_hash_equal(self):
+        # the counterexample dict is left out of the hash, not out of equality
+        for f in every_small_map():
+            record = classify(f)
+            flags = {name: getattr(record, name) for name in factorization._FLAG_CHECKS}
+            again = MorphismClassification(**flags, counterexamples=dict(record.counterexamples))
+            assert again == record and hash(again) == hash(record)
 
     def test_suites_rebuild_the_unchecked_record(self, monkeypatch):
         # in_E without fully_faithful, as a classify built unchecked could return
@@ -446,6 +463,76 @@ class TestFactorizationPartsCheck:
         )
 
 
+def slow_covering_kernel_is_reflected(f, m):
+    """The comparison of objects that ``suites._covering_kernel_is_reflected``
+    makes on rows."""
+    return n_kernel(m).K == reflect(n_kernel(f).K).poset
+
+
+class TestCoveringKernelOnRows:
+    """The light check's kernel comparison on rows agrees with the
+    comparison of the objects it stands for, on every light factorization
+    of a small map and on three corruptions of each."""
+
+    @staticmethod
+    def agree(f, result):
+        fast = suites._covering_kernel_is_reflected(f, result.m)
+        assert fast == slow_covering_kernel_is_reflected(f, result.m)
+        return fast
+
+    def test_every_small_light_factorization(self):
+        for f in every_small_map():
+            assert self.agree(f, monotone_light_factorization(f))
+
+    def test_a_fibre_pair_dropped_from_the_middle_object(self):
+        dropped = 0
+        for f in every_small_map():
+            light = monotone_light_factorization(f)
+            fibres = light.m.map.preimage_masks()
+            rows = list(light.mid.rel.rows)
+            for c, v in enumerate(light.m.map.values):
+                pair = rows[c] & fibres[v] & ~(1 << c)
+                if pair:
+                    rows[c] &= ~(pair & -pair)
+                    break
+            else:
+                continue
+            carrier = light.mid.carrier
+            mid = _built(FinPreorder, carrier, _built(Relation, carrier, carrier, tuple(rows)))
+            assert not self.agree(f, built_legs(f, mid, light.e.map.values, light.m.map.values))
+            dropped += 1
+        assert dropped > 0
+
+    def test_e_permuted_inside_a_fibre(self):
+        # neither form reads e, so both still accept the covering leg
+        permuted = 0
+        for f in every_small_map():
+            light = monotone_light_factorization(f)
+            values = list(light.e.map.values)
+            for fibre in f.map.preimage_masks():
+                members = list(_bits(fibre))
+                if len({values[a] for a in members}) > 1:
+                    break
+            else:
+                continue
+            rolled = [values[a] for a in members[1:] + members[:1]]
+            for a, v in zip(members, rolled):
+                values[a] = v
+            assert self.agree(f, built_legs(f, light.mid, tuple(values), light.m.map.values))
+            permuted += 1
+        assert permuted > 0
+
+    def test_the_middle_carrier_relabelled(self):
+        for f in every_small_map():
+            light = monotone_light_factorization(f)
+            n = light.mid.size
+            carrier = FinSet(n, tuple(f"x{c}" for c in range(n)))
+            rel = _built(Relation, carrier, carrier, light.mid.rel.rows)
+            mid = _built(FinPreorder, carrier, rel)
+            result = built_legs(f, mid, light.e.map.values, light.m.map.values)
+            assert self.agree(f, result) == (n == 0)
+
+
 class TestEffectiveDescentCover:
     def test_point_gives_three_chain(self):
         total, projection = effective_descent_cover(FinPreorder.discrete(1))
@@ -631,6 +718,15 @@ class TestOrthogonalityFailures:
         assert check_factorization_uniqueness(f) == (
             "no comparison between factorizations: no diagonal: top map splits the fibre over 0"
         )
+
+
+    def test_uniqueness_check_reports_a_wrong_comparison(self, monkeypatch):
+        def identity_diagonal(e, m, u, v):
+            return identity_morphism(e.dst)
+
+        monkeypatch.setattr(factorization, "check_orthogonality", identity_diagonal)
+        f = identity_morphism(FinPreorder.discrete(2))
+        assert check_factorization_uniqueness(f) == "comparison is not the transporting isomorphism"
 
 
 class TestClassAgreements:

@@ -1,4 +1,4 @@
-"""Twelve hand-crafted corruptions, each caught by a verification check.
+"""Thirteen hand-crafted corruptions, each caught by a verification check.
 
 Every mutation reimplements one operation with a plausible bug, produces
 its output, and feeds it through the same checks the suites run.  A
@@ -7,7 +7,11 @@ construction itself is rejected).  These document which part of the net
 guards which operation.
 """
 
+import pytest
+
+from preord import factorization as fct
 from preord.factorization import (
+    FactorizationResult,
     is_effective_descent,
     is_in_E_bar,
     is_in_M,
@@ -17,7 +21,7 @@ from preord.oracle import (
     compose_relations_slow,
     universal_pullback,
 )
-from preord.oracle import enumerate_preorders
+from preord.oracle import enumerate_morphisms, enumerate_preorders
 from preord.pretorsion import Reflection, generators, reflect, reflect_morphism, sym_core
 from preord.relations import (
     FinPreorder,
@@ -36,6 +40,8 @@ from preord.relations import (
     meet,
     opposite,
     preord_pullback,
+    quotient,
+    row_classes,
 )
 from preord.suites import _relation_predicates
 
@@ -292,6 +298,41 @@ def test_mutation_pullback_square_without_order():
     # the exhaustive square test fires on the squares that fail only on order
     assert len(pullback_square_mismatches(corrupt_is_pullback_square)) == 988
     assert pullback_square_mismatches(is_pullback_square) == []
+
+
+# -- 13. light factorization with its classes ordered greatest member first ---
+
+def test_mutation_light_factorization_classes_by_greatest_member():
+    def corrupt_light_factorization(f):
+        classes = row_classes(meet(kernel_pair(f.map), sym_core(f.src)).rows)
+        classes.sort(key=lambda cls: -cls[-1])  # the library puts least members first
+        e = quotient(f.src, classes)
+        m_map = SetMap(e.dst.carrier, f.dst.carrier, tuple(f(cls[0]) for cls in classes))
+        m = PreordMorphism(e.dst, f.dst, m_map)
+        return FactorizationResult(e.dst, e, m, "monotone-light")
+
+    from preord.suites import (
+        check_e_bar_three_way,
+        check_factorization_parts,
+        check_factorization_uniqueness,
+        check_m_star_agreement,
+    )
+
+    objects = [p for n in range(4) for p in enumerate_preorders(n)]
+    maps = [f for p in objects for q in objects for f in enumerate_morphisms(p, q)]
+    failures = [check_factorization_parts(f, corrupt_light_factorization(f)) for f in maps]
+    caught = [f for f, failure in zip(maps, failures) if failure is not None]
+    # the legs certify, so only the covering-kernel comparison fires: on every
+    # map whose classes, read greatest member first, come in another order
+    assert len(maps) == 11_345 and len(caught) == 10_374
+    assert set(failures) == {None, "covering kernel is not the reflected relative kernel"}
+    # the gate's other light-class checks pass it (every tenth caught map)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fct, "monotone_light_factorization", corrupt_light_factorization)
+        for f in caught[::10]:
+            assert check_factorization_uniqueness(f) is None
+            assert check_m_star_agreement(f) is None
+            assert check_e_bar_three_way(f) is None
 
 
 def test_kernel_pair_mutation_is_covered_elsewhere():
