@@ -4,15 +4,14 @@ Each command imports the layers it calls, and only ``check`` compiles the
 suites and the oracle, so a command compiles only what it runs.
 
 Exit codes: 0 for success (and passing checks), 1 for a failing check or
-property query, 2 for usage and input errors.  Defaults for the check cap
-and seed come from ``PREORD_MAX_N`` and ``PREORD_SEED``; a value that is
-not an integer, or a negative cap, is a usage error.
+property query, 2 for usage and input errors.  A check run is named by
+its suite, ``--max-n`` (default 3) and ``--seed`` (default 0); a negative
+cap is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import pretorsion as pre
@@ -23,7 +22,7 @@ __all__ = ["main"]
 
 
 class UsageError(Exception):
-    """A bad option or environment value; reported with exit code 2."""
+    """A bad option value; reported with exit code 2."""
 
 
 def _load(args) -> Document:
@@ -165,37 +164,28 @@ def cmd_topology(args) -> int:
     from . import alexandroff as alx
 
     doc = _load(args)
-    out = Document()
-    if args.from_space:
-        spaces = doc.spaces
-        if args.object is not None:
-            if args.object not in spaces:
-                raise DocumentError(f"unknown space {args.object!r}")
-            spaces = {args.object: spaces[args.object]}
-        if not spaces:
-            raise DocumentError("document contains no space blocks")
-        for name, space in spaces.items():
-            out.add_preorder(name, alx.space_to_preorder(space))
-        checking = {name: alx.preorder_to_space(p) for name, p in out.preorders.items()}
-    else:
-        preorders = doc.preorders
-        if args.object is not None:
-            if args.object not in preorders:
-                raise DocumentError(f"unknown object {args.object!r}")
-            preorders = {args.object: preorders[args.object]}
-        if not preorders:
-            raise DocumentError("document contains no object blocks")
-        for name, p in preorders.items():
-            out.add_space(name, alx.preorder_to_space(p))
-        checking = dict(out.spaces)
+    noun, named = ("space", doc.spaces) if args.from_space else ("object", doc.preorders)
+    if args.object is not None:
+        if args.object not in named:
+            raise DocumentError(f"unknown {noun} {args.object!r}")
+        named = {args.object: named[args.object]}
+    if not named:
+        raise DocumentError(f"document contains no {noun} blocks")
+    spaces = named if args.from_space else {
+        name: alx.preorder_to_space(p) for name, p in named.items()
+    }
     if args.check:
         predicate = alx.is_T0 if args.check == "t0" else alx.is_partition
-        verdicts = {name: predicate(space) for name, space in sorted(checking.items())}
+        verdicts = {name: predicate(space) for name, space in sorted(spaces.items())}
         _emit(
             "\n".join(f"{name}: {args.check} = {str(v).lower()}" for name, v in verdicts.items()),
             args.out,
         )
         return 0 if all(verdicts.values()) else 1
+    if args.from_space:
+        out = Document(preorders={name: alx.space_to_preorder(s) for name, s in spaces.items()})
+    else:
+        out = Document(spaces=spaces)
     _emit(dumps(out), args.out)
     return 0
 
@@ -232,29 +222,17 @@ def cmd_export(args) -> int:
 
 
 def cmd_check(args) -> int:
-    max_n = _env_int("PREORD_MAX_N", 3) if args.max_n is None else args.max_n
-    seed = _env_int("PREORD_SEED", 0) if args.seed is None else args.seed
-    if max_n < 0:
-        raise UsageError(f"the carrier bound must be nonnegative, got {max_n}")
+    if args.max_n < 0:
+        raise UsageError(f"the carrier bound must be nonnegative, got {args.max_n}")
     from . import oracle, suites
 
     try:
-        report = suites.SUITES[args.suite](max_n=max_n, seed=seed)
+        report = suites.SUITES[args.suite](max_n=args.max_n, seed=args.seed)
     except oracle.EnumerationCapError as exc:
         raise UsageError(str(exc)) from None
     for line in report.lines():
         print(line)
     return 0 if report.ok else 1
-
-
-def _env_int(name: str, fallback: int) -> int:
-    value = os.environ.get(name)
-    if value is None:
-        return fallback
-    try:
-        return int(value)
-    except ValueError:
-        raise UsageError(f"{name} must be an integer, got {value!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -314,10 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check", help="run a verification suite")
     sp.add_argument("--suite", required=True,
                     choices=("alexandroff", "factorization", "pretorsion", "stable-units"))
-    sp.add_argument("--max-n", type=int,
-                    help="carrier bound for exhaustive sweeps (default: PREORD_MAX_N or 3)")
-    sp.add_argument("--seed", type=int,
-                    help="seed for randomized sweeps (default: PREORD_SEED or 0)")
+    sp.add_argument("--max-n", type=int, default=3,
+                    help="carrier bound for exhaustive sweeps (default: 3)")
+    sp.add_argument("--seed", type=int, default=0,
+                    help="seed for randomized sweeps (default: 0)")
     sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("export", help="DOT digraph of the quotient Hasse diagram")

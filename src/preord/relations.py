@@ -54,7 +54,6 @@ __all__ = [
     "preord_pullback",
     "is_pullback_square",
     "row_classes",
-    "class_map",
     "quotient",
 ]
 
@@ -802,27 +801,17 @@ def _require_partition(n: int, classes: Sequence[Sequence[int]]) -> None:
 
 
 def _class_map(carrier: FinSet, classes: Sequence[Sequence[int]]) -> SetMap:
-    """``class_map`` of a partition of ``carrier``, unchecked: every element
-    has one class index in range."""
+    """The map sending each element to the index of its class, onto a
+    carrier labelled ``{a,b}`` by the members of each class, or by the
+    default labels when two classes spell the same label (points ``a``,
+    ``b`` and ``a,b``, with ``a`` and ``b`` in one class).  Unchecked:
+    ``classes`` is a partition of ``carrier``."""
     values = [0] * carrier.size
     for ci, cls in enumerate(classes):
         for a in cls:
             values[a] = ci
     cod = _fresh_carrier([_class_label(carrier, cls) for cls in classes])
     return _built(SetMap, carrier, cod, tuple(values))
-
-
-def class_map(carrier: FinSet, classes: Sequence[Sequence[int]]) -> SetMap:
-    """The map sending each element to the index of its class, onto a
-    carrier labelled ``{a,b}`` by the members of each class, or by the
-    default labels when two classes spell the same label (points ``a``,
-    ``b`` and ``a,b``, with ``a`` and ``b`` in one class).
-
-    ``classes`` must be nonempty lists that together hold every element of
-    ``carrier`` exactly once; otherwise ``ValueError``.
-    """
-    _require_partition(carrier.size, classes)
-    return _class_map(carrier, classes)
 
 
 def _quotient(p: FinPreorder, classes: Sequence[Sequence[int]]) -> PreordMorphism:
@@ -839,11 +828,12 @@ def quotient(p: FinPreorder, classes: Sequence[Sequence[int]]) -> PreordMorphism
     the class map, as a monotone surjection onto the class carrier ordered
     by the pushed-forward relation.
 
-    ``classes`` must be a partition of ``p``, as ``class_map`` checks, and
-    the members of a class must have equal rows (be related both ways);
-    otherwise ``ValueError``.  Then ``a ≤ b`` iff ``[a] ≤ [b]``, since any
-    member of a class may stand for it, so the pushed relation is a
-    preorder and the class map monotone; both are built unchecked.
+    ``classes`` must be nonempty lists that together hold every element of
+    ``p`` exactly once, and the members of a class must have equal rows
+    (be related both ways); otherwise ``ValueError``.  Then ``a ≤ b`` iff
+    ``[a] ≤ [b]``, since any member of a class may stand for it, so the
+    pushed relation is a preorder and the class map monotone; both are
+    built unchecked.
     """
     _require_partition(p.size, classes)
     rows = p.rel.rows

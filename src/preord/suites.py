@@ -5,6 +5,11 @@ failure description or ``None``; the ``suite_*`` functions sweep the helpers
 over exhaustive small instances plus seeded random ones and collect a
 report.  The helpers take the produced artifacts as arguments so corrupted
 implementations can be fed through the same net.
+
+Every sweep instance is a tuple of ``FinPreorder`` and ``PreordMorphism``
+values, and every checker is a module-level ``check_*``, called on the
+instance as ``checker(*instance)``.  ``_document`` and ``_instance`` are the
+one document form of an instance, whatever its shape.
 """
 
 from __future__ import annotations
@@ -241,24 +246,53 @@ def check_decomposition_roundtrip(p: FinPreorder) -> str | None:
     return None
 
 
-def _object_document(p: FinPreorder) -> docio.Document:
-    """A document holding ``p`` alone, as the object ``P``."""
+def _document(instance: tuple) -> docio.Document:
+    """A document holding ``instance``, each element named by its position:
+    ``P0`` for an object, ``f1`` for a morphism.  A morphism's end that
+    equals an earlier element reuses that element's name; any other end is
+    written as the object ``f1.src`` or ``f1.dst``."""
     doc = docio.Document()
-    doc.add_preorder("P", p)
+    names: dict[FinPreorder, str] = {}
+    for i, x in enumerate(instance):
+        if isinstance(x, FinPreorder):
+            doc.add_preorder(f"P{i}", x)
+            names.setdefault(x, f"P{i}")
+            continue
+        ends = []
+        for end, role in ((x.src, "src"), (x.dst, "dst")):
+            if end not in names:
+                doc.add_preorder(f"f{i}.{role}", end)
+            ends.append(names.get(end, f"f{i}.{role}"))
+        doc.add_morphism(f"f{i}", x, *ends)
     return doc
 
 
-def check_document_roundtrip(p: FinPreorder, text: str) -> str | None:
-    """``text``, written for ``_object_document(p)``, must be the per-pair
-    writer's text and load back to ``p`` under the strict reading, which
-    asks for exactly the generators of the closure."""
-    if text != oracle.dumps_by_pairs(_object_document(p)):
+def _instance(document: docio.Document) -> tuple:
+    """The instance ``_document`` wrote, read back by its position names."""
+    out = []
+    while True:
+        i = len(out)
+        if f"P{i}" in document.preorders:
+            out.append(document.preorders[f"P{i}"])
+        elif f"f{i}" in document.morphisms:
+            out.append(document.morphisms[f"f{i}"])
+        else:
+            return tuple(out)
+
+
+def check_document_roundtrip(p: FinPreorder) -> str | None:
+    """``docio.dumps`` must write ``p``'s document as the per-pair writer
+    does, and the text must load back to ``p`` under the strict reading,
+    which asks for exactly the generators of the closure."""
+    doc = _document((p,))
+    text = docio.dumps(doc)
+    if text != oracle.dumps_by_pairs(doc):
         return "writer disagrees with the per-pair writer"
     try:
-        again = docio.loads(text, strict=True).preorders.get("P")
+        again = _instance(docio.loads(text, strict=True))
     except docio.DocumentError as exc:
         return f"strict reload fails: {exc}"
-    if again != p:
+    if again != (p,):
         return "strict reload is not the object"
     return None
 
@@ -346,6 +380,13 @@ def check_factorizations(f: PreordMorphism) -> str | None:
         if failure:
             return f"{system}: {failure}"
     return None
+
+
+def check_random_morphism(f: PreordMorphism) -> str | None:
+    failure = check_factorizations(f)
+    if failure:
+        return failure
+    return check_m_star_agreement(f)
 
 
 def _topological_m_star(f: PreordMorphism) -> bool:
@@ -455,6 +496,15 @@ def check_orthogonality_square(
     return None
 
 
+def check_canonical_square(f: PreordMorphism) -> str | None:
+    """The light factorization's own square has its diagonal, checked
+    against enumeration on at most two points."""
+    light = fct.monotone_light_factorization(f)
+    return check_orthogonality_square(
+        light.e, light.m, light.e, light.m, brute=max(f.src.size, f.dst.size) <= 2
+    )
+
+
 def check_factorization_uniqueness(f: PreordMorphism) -> str | None:
     """Any second light factorization is connected to the canonical one by a
     unique comparison isomorphism, found by diagonal fill.
@@ -487,6 +537,22 @@ def check_factorization_uniqueness(f: PreordMorphism) -> str | None:
         return "comparison is not the transporting isomorphism"
     if tuple(map(beta.map.values.__getitem__, alpha.map.values)) != tuple(range(n)):
         return "comparisons do not invert each other"
+    return None
+
+
+def check_stability(e: PreordMorphism, g: PreordMorphism) -> str | None:
+    """The surjective fully faithful ``e`` pulls back along ``g`` to a
+    surjective fully faithful map."""
+    if not fct.is_in_E_bar(e):
+        return "left-class map is not surjective fully faithful"
+    if not fct.is_in_E_bar(preord_pullback(e, g).p2):
+        return "pullback of a surjective fully faithful map left the class"
+    return None
+
+
+def check_poset_pullback(h: PreordMorphism, g: PreordMorphism) -> str | None:
+    if not fct.is_in_M(preord_pullback(h, g).p2):
+        return "pullback of a poset morphism is not a trivial covering"
     return None
 
 
@@ -629,10 +695,10 @@ _SPACE_RANDOM, _SPACE_SIZE = 500, 50
 
 
 def _sweep(report: SuiteReport, name: str, instances, checker) -> None:
-    """Run ``checker`` on every instance; the first failure fails the check,
-    and so does an exception from the checker or from the instance stream,
-    and a sweep that saw no instance, which would otherwise pass
-    vacuously."""
+    """Run ``checker(*instance)`` on every instance, a tuple of values; the
+    first failure fails the check, and so does an exception from the
+    checker or from the instance stream, and a sweep that saw no instance,
+    which would otherwise pass vacuously."""
     count = 0
     stream = iter(instances)
     while True:
@@ -640,7 +706,7 @@ def _sweep(report: SuiteReport, name: str, instances, checker) -> None:
             instance = next(stream, _NO_MORE)
             if instance is _NO_MORE:
                 break
-            failure = checker(instance)
+            failure = checker(*instance)
         except Exception as exc:  # a raised check or instance is a failed check
             failure = f"raised {exc!r}"
         count += 1
@@ -660,30 +726,23 @@ def suite_pretorsion(max_n: int = 3, seed: int = 0) -> SuiteReport:
     posets = [p for p in objects if p.is_partial_order()]
 
     hom_pairs = [(t, f) for t in equivalences for f in posets]
-    _sweep(report, "equivalence-to-poset homs are trivial", hom_pairs,
-           lambda pair: check_trivial_homs(*pair))
-    _sweep(report, "canonical sequence universal properties", objects, check_canonical_sequence)
-    _sweep(report, "symmetric core is an equivalence", objects, check_sym_core)
-    _sweep(
-        report,
-        "reflection quotient properties",
-        objects,
-        lambda p: check_reflection_parts(p, *pre.reflect(p)),
-    )
+    _sweep(report, "equivalence-to-poset homs are trivial", hom_pairs, check_trivial_homs)
+    _sweep(report, "canonical sequence universal properties", zip(objects),
+           check_canonical_sequence)
+    _sweep(report, "symmetric core is an equivalence", zip(objects), check_sym_core)
+    _sweep(report, "reflection quotient properties",
+           ((p, *pre.reflect(p)) for p in objects), check_reflection_parts)
     morphisms = list(_morphisms(objects))
-    _sweep(report, "unit naturality", morphisms, check_naturality)
-    _sweep(report, "ideal membership agreement", morphisms, check_ideal_agreement)
-    _sweep(report, "decomposition round trip", objects, check_decomposition_roundtrip)
+    _sweep(report, "unit naturality", zip(morphisms), check_naturality)
+    _sweep(report, "ideal membership agreement", zip(morphisms), check_ideal_agreement)
+    _sweep(report, "decomposition round trip", zip(objects), check_decomposition_roundtrip)
     small = [f for f in morphisms if max(f.src.size, f.dst.size) <= 2]
     sampled = rng.sample(morphisms, min(_KERNEL_SAMPLES, len(morphisms)))
-    _sweep(report, "relative kernel universal property", small + sampled, check_kernel_universal)
+    _sweep(report, "relative kernel universal property", zip(small + sampled),
+           check_kernel_universal)
     documented = objects + list(_random_preorders(rng, _DOCUMENTED_RANDOM, 40))
-    _sweep(
-        report,
-        "documents round trip through generators",
-        documented,
-        lambda p: check_document_roundtrip(p, docio.dumps(_object_document(p))),
-    )
+    _sweep(report, "documents round trip through generators", zip(documented),
+           check_document_roundtrip)
     return report
 
 
@@ -694,16 +753,17 @@ def suite_factorization(max_n: int = 3, seed: int = 0) -> SuiteReport:
     objects = _objects(max_n)
     morphisms = list(_morphisms(objects))
 
-    _sweep(report, "factorizations certify and compose", morphisms, check_factorizations)
-    _sweep(report, "covering tests agree", morphisms, check_m_star_agreement)
-    _sweep(report, "inverted-map tests agree", morphisms, check_e_detection)
-    _sweep(report, "surjective-fully-faithful tests agree", morphisms, check_e_bar_three_way)
-    _sweep(report, "trivial-covering naturality square", morphisms, check_m_naturality_square)
+    _sweep(report, "factorizations certify and compose", zip(morphisms), check_factorizations)
+    _sweep(report, "covering tests agree", zip(morphisms), check_m_star_agreement)
+    _sweep(report, "inverted-map tests agree", zip(morphisms), check_e_detection)
+    _sweep(report, "surjective-fully-faithful tests agree", zip(morphisms), check_e_bar_three_way)
+    _sweep(report, "trivial-covering naturality square", zip(morphisms),
+           check_m_naturality_square)
 
     eq_morphisms = [
         f for f in morphisms if f.src.is_equivalence() and f.dst.is_equivalence()
     ]
-    _sweep(report, "pullback-mono criterion", eq_morphisms, check_pullback_mono)
+    _sweep(report, "pullback-mono criterion", zip(eq_morphisms), check_pullback_mono)
 
     by_target: dict[FinPreorder, list[PreordMorphism]] = {}
     for m in morphisms:
@@ -714,14 +774,6 @@ def suite_factorization(max_n: int = 3, seed: int = 0) -> SuiteReport:
     small_pairs = [
         (e, g) for (e, g) in stability_pairs if max(e.src.size, g.src.size) <= 2
     ]
-
-    def check_stability(pair):
-        e, g = pair
-        pulled = preord_pullback(e, g).p2
-        if not fct.is_in_E_bar(pulled):
-            return "pullback of a surjective fully faithful map left the class"
-        return None
-
     _sweep(report, "left class is pullback stable", small_pairs + rng_pairs, check_stability)
 
     def random_stability_pairs():
@@ -736,14 +788,8 @@ def suite_factorization(max_n: int = 3, seed: int = 0) -> SuiteReport:
             produced += 1
             yield (e, PreordMorphism(z, e.dst, g_map))
 
-    def check_random_stability(pair):
-        e, g = pair
-        if not fct.is_in_E_bar(e):
-            return "core refinement quotient left the class at construction"
-        return check_stability(pair)
-
     _sweep(report, "left class is pullback stable (random)",
-           random_stability_pairs(), check_random_stability)
+           random_stability_pairs(), check_stability)
 
     poset_pairs = []
     for h in morphisms:
@@ -752,25 +798,11 @@ def suite_factorization(max_n: int = 3, seed: int = 0) -> SuiteReport:
         if max(h.src.size, h.dst.size) > 2:
             continue
         poset_pairs.extend((h, g) for g in by_target[h.dst] if g.src.size <= 2)
-
-    def check_poset_pullback(pair):
-        h, g = pair
-        pulled = preord_pullback(h, g).p2
-        if not fct.is_in_M(pulled):
-            return "pullback of a poset morphism is not a trivial covering"
-        return None
-
     _sweep(report, "poset-map pullbacks are trivial coverings", poset_pairs, check_poset_pullback)
 
-    def ortho_exhaustive(f):
-        light = fct.monotone_light_factorization(f)
-        return check_orthogonality_square(
-            light.e, light.m, light.e, light.m, brute=max(f.src.size, f.dst.size) <= 2
-        )
-
-    _sweep(report, "orthogonality on canonical squares", morphisms, ortho_exhaustive)
+    _sweep(report, "orthogonality on canonical squares", zip(morphisms), check_canonical_square)
     _sweep(report, "light factorizations are unique up to comparison",
-           morphisms, check_factorization_uniqueness)
+           zip(morphisms), check_factorization_uniqueness)
 
     def random_squares():
         for _ in range(_ORTHO_RANDOM):
@@ -782,33 +814,20 @@ def suite_factorization(max_n: int = 3, seed: int = 0) -> SuiteReport:
             if w_map is None:
                 continue
             w = PreordMorphism(ef.mid, mg.mid, w_map)
-            u = compose_morphisms(w, ef.e)
-            v = compose_morphisms(mg.m, w)
-            yield (ef.e, mg.m, u, v, w)
+            yield (ef.e, mg.m, compose_morphisms(w, ef.e), compose_morphisms(mg.m, w), w)
 
-    def check_random_square(square):
-        e, m, u, v, w = square
-        return check_orthogonality_square(e, m, u, v, expected=w)
+    _sweep(report, "orthogonality on random squares", random_squares(), check_orthogonality_square)
 
-    _sweep(report, "orthogonality on random squares", random_squares(), check_random_square)
-
-    _sweep(report, "effective-descent covers (exhaustive)", objects, check_cover)
+    _sweep(report, "effective-descent covers (exhaustive)", zip(objects), check_cover)
 
     _sweep(report, "effective-descent covers (random)",
-           _random_preorders(rng, _COVER_RANDOM, _COVER_SIZE), check_cover)
+           zip(_random_preorders(rng, _COVER_RANDOM, _COVER_SIZE)), check_cover)
 
-    def random_morphism_stream():
-        for _ in range(_RANDOM_MORPHISMS):
-            yield oracle.random_morphism(rng, _RANDOM_MORPHISM_SIZE)
-
-    def check_random_morphism(f):
-        failure = check_factorizations(f)
-        if failure:
-            return failure
-        return check_m_star_agreement(f)
-
+    random_morphisms = (
+        oracle.random_morphism(rng, _RANDOM_MORPHISM_SIZE) for _ in range(_RANDOM_MORPHISMS)
+    )
     _sweep(report, "random factorizations certify and compose",
-           random_morphism_stream(), check_random_morphism)
+           zip(random_morphisms), check_random_morphism)
     return report
 
 
@@ -825,12 +844,7 @@ def suite_stable_units(max_n: int = 3, seed: int = 0) -> SuiteReport:
                 for g in oracle.enumerate_morphisms(z, poset):
                     yield (x, g)
 
-    _sweep(
-        report,
-        "stable units (exhaustive)",
-        exhaustive(),
-        lambda inst: check_stable_units(*inst),
-    )
+    _sweep(report, "stable units (exhaustive)", exhaustive(), check_stable_units)
 
     def randoms():
         produced = 0
@@ -844,12 +858,7 @@ def suite_stable_units(max_n: int = 3, seed: int = 0) -> SuiteReport:
             produced += 1
             yield (x, PreordMorphism(z, poset, g_map))
 
-    _sweep(
-        report,
-        "stable units (random)",
-        randoms(),
-        lambda inst: check_stable_units(*inst),
-    )
+    _sweep(report, "stable units (random)", randoms(), check_stable_units)
     return report
 
 
@@ -860,26 +869,22 @@ def suite_alexandroff(max_n: int = 3, seed: int = 0) -> SuiteReport:
     objects = _objects(max_n)
     morphisms = list(_morphisms(objects))
 
-    _sweep(report, "round trips (exhaustive)", objects, check_space_roundtrip)
+    _sweep(report, "round trips (exhaustive)", zip(objects), check_space_roundtrip)
 
     _sweep(report, "round trips (random)",
-           _random_preorders(rng, _SPACE_RANDOM, _SPACE_SIZE), check_space_roundtrip)
-    _sweep(
-        report,
-        "monotone maps are exactly continuous maps",
-        ((p, q) for p in objects for q in objects),
-        lambda pq: check_hom_continuity_sets(*pq),
-    )
+           zip(_random_preorders(rng, _SPACE_RANDOM, _SPACE_SIZE)), check_space_roundtrip)
+    _sweep(report, "monotone maps are exactly continuous maps",
+           ((p, q) for p in objects for q in objects), check_hom_continuity_sets)
     _sweep(report, "minimal neighborhoods are open intersections",
-           objects, check_min_nbhd_intersection)
-    _sweep(report, "T0/partition dual tests (exhaustive)", objects, check_topology_predicates)
+           zip(objects), check_min_nbhd_intersection)
+    _sweep(report, "T0/partition dual tests (exhaustive)", zip(objects), check_topology_predicates)
 
     _sweep(report, "T0/partition dual tests (random)",
-           _random_preorders(rng, _SPACE_RANDOM, _SPACE_SIZE), check_topology_predicates)
+           zip(_random_preorders(rng, _SPACE_RANDOM, _SPACE_SIZE)), check_topology_predicates)
     _sweep(report, "T0 reflection matches order reflection",
-           objects, check_t0_reflection_agreement)
+           zip(objects), check_t0_reflection_agreement)
     _sweep(report, "continuous classification matches order classification",
-           morphisms, check_classify_continuous_agreement)
+           zip(morphisms), check_classify_continuous_agreement)
     return report
 
 

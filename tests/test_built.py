@@ -25,7 +25,6 @@ from preord.relations import (
     PreordMorphism,
     Relation,
     SetMap,
-    class_map,
     compose_maps,
     compose_morphisms,
     compose_relations,
@@ -91,7 +90,7 @@ def check_object_sites(p: FinPreorder) -> None:
         meet(r, opposite(r)),
         pre.sym_core(p),
         pre.generators(p),
-        class_map(p.carrier, classes),
+        quotient(p, classes).map,
         quotient(p, classes),
         identity_map(p.carrier),
         reflexive_transitive_closure(p.rel),

@@ -12,6 +12,7 @@ import pytest
 import preord
 from preord.cli import build_parser, main
 from preord.docio import Document, dumps, loads
+from preord.relations import FinPreorder, PreordMorphism
 from preord import factorization, oracle, suites
 from preord.suites import (
     SuiteReport,
@@ -258,6 +259,28 @@ class TestTopology:
         assert main(["topology", str(path), "--check", "partition"]) == 0
         assert "partition = true" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags, code, lines", [
+        (["--check", "t0"], 1, ["S: t0 = false", "T: t0 = true"]),
+        (["--check", "partition"], 1, ["S: partition = true", "T: partition = false"]),
+        (["-o", "T", "--check", "t0"], 0, ["T: t0 = true"]),
+        (["-o", "S", "--check", "partition"], 0, ["S: partition = true"]),
+    ])
+    def test_check_from_space(self, tmp_path, capsys, flags, code, lines):
+        path = tmp_path / "spaces.preord"
+        path.write_text(
+            "preord 2\n"
+            "space T\n  points x y\n  nbhd x x\n  nbhd y x y\n"
+            "space S\n  points a b\n  nbhd a a b\n  nbhd b a b\n"
+        )
+        assert main(["topology", str(path), "--from-space", *flags]) == code
+        assert capsys.readouterr() == ("\n".join(lines) + "\n", "")
+
+    def test_from_space_without_spaces_is_an_input_error(self, running_file, capsys):
+        assert main(["topology", running_file, "--from-space", "--check", "t0"]) == 2
+        assert capsys.readouterr().err == "error: document contains no space blocks\n"
+        assert main(["topology", running_file, "--from-space", "-o", "P"]) == 2
+        assert capsys.readouterr().err == "error: unknown space 'P'\n"
+
 
 class TestExport:
     def test_dot_output(self, running_file, capsys):
@@ -389,18 +412,42 @@ class TestCheck:
         assert report.lines()[-1] == "FAIL: suite pretorsion (0/9 checks)"
 
     def test_a_raising_instance_stream_fails_its_check(self):
+        point = FinPreorder.discrete(1)
+
         def stream():
-            yield 1
+            yield (point,)
             raise RuntimeError("no instance")
 
         report = SuiteReport("s")
-        _sweep(report, "first", stream(), lambda instance: None)
-        _sweep(report, "second", [1, 2], lambda instance: None)
+        _sweep(report, "first", stream(), suites.check_sym_core)
+        _sweep(report, "second", [(point,), (point,)], suites.check_sym_core)
         assert report.lines() == [
             "FAIL first: instance 2: raised RuntimeError('no instance')",
             "ok   second [2 instances]",
             "FAIL: suite s (1/2 checks)",
         ]
+
+    def test_every_instance_is_a_tuple_of_values_that_round_trips(self, monkeypatch):
+        sweep, seen = suites._sweep, []
+
+        def tapped(report, name, instances, checker):
+            def tap():
+                for instance in instances:
+                    seen.append(instance)
+                    yield instance
+            sweep(report, name, tap(), checker)
+
+        monkeypatch.setattr(suites, "_sweep", tapped)
+        for name, value in {**SMALL_FACTORIZATION, "_STABLE_RANDOM": 2, "_SPACE_RANDOM": 2}.items():
+            monkeypatch.setattr(suites, name, value)
+        for suite in suites.SUITES.values():
+            assert suite(max_n=2).ok
+        assert len(seen) == 1946
+        for instance in seen:
+            assert type(instance) is tuple and instance
+            assert all(isinstance(x, (FinPreorder, PreordMorphism)) for x in instance)
+            text = dumps(suites._document(instance))
+            assert suites._instance(loads(text, strict=True)) == instance
 
     def test_a_raising_generator_does_not_abort_its_suite(self, monkeypatch):
         def broken(f):
@@ -425,31 +472,10 @@ class TestCheck:
         assert main(["check", "--suite", "pretorsion", "--max-n", "7"]) == 2
         assert "cap" in capsys.readouterr().err
 
-    def test_env_defaults(self, monkeypatch, capsys):
-        monkeypatch.setenv("PREORD_MAX_N", "2")
-        monkeypatch.setenv("PREORD_SEED", "3")
-        assert main(["check", "--suite", "stable-units"]) == 0
-
-    @pytest.mark.parametrize("flags, env", [(["--max-n", "-1"], "3"), ([], "-1")])
-    def test_negative_bound_is_a_usage_error(self, monkeypatch, capsys, flags, env):
-        monkeypatch.setenv("PREORD_MAX_N", env)
-        assert main(["check", "--suite", "pretorsion", *flags]) == 2
+    def test_negative_bound_is_a_usage_error(self, capsys):
+        assert main(["check", "--suite", "pretorsion", "--max-n", "-1"]) == 2
         captured = capsys.readouterr()
         assert "nonnegative" in captured.err and captured.out == ""
-
-    @pytest.mark.parametrize("variable", ["PREORD_MAX_N", "PREORD_SEED"])
-    def test_malformed_env_default_is_a_usage_error(self, monkeypatch, capsys, variable):
-        monkeypatch.setenv(variable, "abc")
-        extra = ["--max-n", "0"] if variable == "PREORD_SEED" else []
-        assert main(["check", "--suite", "stable-units", *extra]) == 2
-        captured = capsys.readouterr()
-        assert variable in captured.err and "'abc'" in captured.err
-        assert captured.out == ""
-
-    def test_flags_override_malformed_env(self, monkeypatch, capsys):
-        monkeypatch.setenv("PREORD_MAX_N", "abc")
-        monkeypatch.setenv("PREORD_SEED", "abc")
-        assert main(["check", "--suite", "stable-units", "--max-n", "1", "--seed", "0"]) == 0
 
 
 @pytest.mark.parametrize("argv", [

@@ -271,17 +271,20 @@ def test_mutation_writer_drops_cycle_closing_edges():
             out.append("")
         return "\n".join(out)
 
+    from preord import suites
     from preord.docio import loads
-    from preord.suites import _object_document, check_document_roundtrip
 
     p = FinPreorder.codiscrete(2)
-    text = corrupt_dumps(_object_document(p))
-    assert check_document_roundtrip(p, text) == "writer disagrees with the per-pair writer"
-    assert loads(text, strict=True).preorders["P"] != p  # the text is another object's
-    # the check fires on exactly the objects with a core class of two or more
-    for q in (q for n in range(4) for q in enumerate_preorders(n)):
-        failure = check_document_roundtrip(q, corrupt_dumps(_object_document(q)))
-        assert (failure is not None) == (not q.is_partial_order())
+    text = corrupt_dumps(suites._document((p,)))
+    assert suites._instance(loads(text, strict=True)) != (p,)  # the text is another object's
+    # the check writes through ``docio.dumps``; feed it the corrupt writer
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(suites.docio, "dumps", corrupt_dumps)
+        assert suites.check_document_roundtrip(p) == "writer disagrees with the per-pair writer"
+        # the check fires on exactly the objects with a core class of two or more
+        for q in (q for n in range(4) for q in enumerate_preorders(n)):
+            failure = suites.check_document_roundtrip(q)
+            assert (failure is not None) == (not q.is_partial_order())
 
 
 # -- 12. pullback-square test without the order comparison ---------------------

@@ -33,7 +33,6 @@ from preord.relations import (
     PreordMorphism,
     Relation,
     SetMap,
-    class_map,
     compose_maps,
     compose_relations,
     direct_image,
@@ -531,8 +530,12 @@ class TestQuotient:
 
 
 class TestClassMap:
+    """The class map of a partition, as ``quotient`` builds and checks it."""
+
     def test_sends_each_element_to_its_class(self):
-        q = class_map(FinSet(3, ("a", "b", "c")), [[0, 2], [1]])
+        abc = FinSet(3, ("a", "b", "c"))
+        q = quotient(FinPreorder(abc, rel(abc, abc, [(a, b) for a in range(3) for b in range(3)])),
+                     [[0, 2], [1]]).map
         assert q.values == (0, 1, 0)
         assert q.cod == FinSet(2, ("{a,c}", "{b}"))
 
@@ -548,7 +551,7 @@ class TestClassMap:
     )
     def test_rejects_what_is_not_a_partition(self, classes, message):
         with pytest.raises(ValueError, match=message):
-            class_map(THREE, classes)
+            quotient(FinPreorder.codiscrete(3), classes)
 
 
 def _reflexive_relations(n):
