@@ -22,9 +22,8 @@ from .relations import (
     _class_map,
     _fresh_carrier,
     _excess,
-    _or_rows,
-    _pull,
-    direct_image,
+    _push,
+    _walk,
     opposite,
     row_classes,
 )
@@ -65,8 +64,8 @@ class AlexandroffSpace:
             if not nbhd >> x & 1:
                 raise ValueError(f"point {x} is missing from its own neighborhood")
         nbhds = self.min_nbhd
-        # U∘U ⊆ U, exact since _or_rows is exact on every relation
-        bad = _excess(_or_rows(nbhds, nbhds), nbhds)
+        # U∘U ⊆ U, exact since the covered walk is exact on every relation
+        bad = _excess(_walk(nbhds, nbhds)[0], nbhds)
         if bad is not None:
             x, z = bad
             y = next(y for y in _bits(nbhds[x]) if nbhds[y] >> z & 1)
@@ -79,6 +78,10 @@ class AlexandroffSpace:
         return self.carrier.size
 
     def is_open(self, mask: int) -> bool:
+        """Whether the subset ``mask`` of the carrier, a bit mask, holds the
+        minimal neighborhood of each of its points."""
+        if not 0 <= mask < 1 << self.size:
+            raise ValueError(f"mask {mask} is not a subset of the {self.size}-point carrier")
         return all(self.min_nbhd[x] & ~mask == 0 for x in _bits(mask))
 
 
@@ -151,7 +154,8 @@ class ContinuousMap:
         if self.map.dom != self.src.carrier or self.map.cod != self.dst.carrier:
             raise ValueError("underlying map does not match the endpoints")
         # U ⊆ f*(U') on the neighborhood rows, exact as in PreordMorphism
-        bad = _excess(self.src.min_nbhd, _pull(self.map, self.dst.min_nbhd))
+        pulled = _walk(self.dst.min_nbhd, self.map.preimage_masks())[0]
+        bad = _excess(self.src.min_nbhd, tuple(map(pulled.__getitem__, self.map.values)))
         if bad is not None:
             y, x = bad
             raise ValueError(
@@ -172,10 +176,10 @@ def t0_reflection(s: AlexandroffSpace) -> T0Reflection:
     closures); the quotient is the finest T0 image and the projection is
     continuous.  The classes partition the points by construction, and any
     member of a class may stand for it, as in ``relations.quotient``, so
-    the class map and both results are built unchecked, as is the relation
-    of the validated neighborhood rows pushed forward."""
+    the class map and both results are built unchecked.  The neighborhoods
+    are pushed forward as ``direct_image`` pushes rows."""
     q = _class_map(s.carrier, row_classes(s.min_nbhd))
-    nbhds = direct_image(q, _built(Relation, s.carrier, s.carrier, s.min_nbhd)).rows
+    nbhds = _push(q, _walk(s.min_nbhd, [1 << v for v in q.values])[0])
     quotient = _built(AlexandroffSpace, q.cod, nbhds)
     return T0Reflection(quotient, _built(ContinuousMap, s, quotient, q))
 
@@ -192,7 +196,7 @@ def subspace(s: AlexandroffSpace, points: Iterable[int]) -> AlexandroffSpace:
     for k, x in enumerate(members):
         table[x] = 1 << k
     carrier = _fresh_carrier([s.carrier.label(x) for x in members])
-    nbhds = _or_rows(s.min_nbhd, table)
+    nbhds = _walk(s.min_nbhd, table)[0]
     return _built(AlexandroffSpace, carrier, tuple(nbhds[x] for x in members))
 
 
@@ -224,11 +228,11 @@ def _fibres_trivial(f: ContinuousMap) -> bool:
 
 def _specializations_lift(f: ContinuousMap) -> bool:
     """Every specialization in the target is the image of one in the source,
-    tested as ``U' ⊆ f(U)`` on the neighborhood rows: specialization is the
-    opposite of that relation, and the direct image commutes with it.  The
-    source's rows are validated, so their relation is built unchecked."""
-    nbhds = _built(Relation, f.src.carrier, f.src.carrier, f.src.min_nbhd)
-    return _excess(f.dst.min_nbhd, direct_image(f.map, nbhds).rows) is None
+    tested as ``U' ⊆ f(U)`` on the neighborhood rows, pushed forward as
+    ``direct_image`` pushes rows: specialization is the opposite of that
+    relation, and the direct image commutes with it."""
+    images = _walk(f.src.min_nbhd, [1 << v for v in f.map.values])[0]
+    return _excess(f.dst.min_nbhd, _push(f.map, images)) is None
 
 
 def classify_continuous(f: ContinuousMap) -> ContinuousClassification:

@@ -24,6 +24,7 @@ from .relations import (
     _class_label,
     _excess,
     _fresh_carrier,
+    _or_cols,
     _or_rows,
     _pulled_back,
     _quotient,
@@ -161,7 +162,8 @@ def _effective_descent_counterexample(
     ``e1 ≤ e2 ≤ e3`` of the source lies, or ``None``.
 
     ``below[e]`` and ``above[e]`` are the images of the down- and up-set of
-    ``e``.  For each ``b2``, a point ``e`` of its fibre whose ``above[e]``
+    ``e``, replayed backward and forward from the one walk of the source's
+    rows.  For each ``b2``, a point ``e`` of its fibre whose ``above[e]``
     holds every ``b3 ≥ b2`` lifts the chains of every ``b1`` in
     ``below[e]`` at once; only the other ``b1`` are checked one by one, in
     ascending order, so the reported chain is the same.
@@ -169,8 +171,8 @@ def _effective_descent_counterexample(
     dst_rows = f.dst.rel.rows
     pre = f.map.preimage_masks()
     images = [1 << v for v in f.map.values]
-    below = _or_rows(f.src.rel.columns(), images)
-    above = _or_rows(f.src.rel.rows, images)
+    below = _or_cols(f.src.rel, images)
+    above = _or_rows(f.src.rel, images)
     dst_cols = f.dst.rel.columns()
     for b2 in range(f.dst.size):
         rights = dst_rows[b2]
@@ -357,7 +359,7 @@ def _cover_rows(poset: FinPreorder, sizes: list[int]) -> tuple[int, ...]:
     class_mask = [
         (1 << stop) - (1 << start) for start, stop in zip(starts, starts[1:])
     ]
-    above = _or_rows(poset.rel.rows, class_mask)
+    above = _or_rows(poset.rel, class_mask)
     rows = []
     for ci, size in enumerate(sizes):
         strict = above[ci] & ~class_mask[ci]

@@ -43,6 +43,8 @@ __all__ = [
     "compose_relations_slow",
     "or_rows_by_bits",
     "transpose_by_bits",
+    "or_cols_by_bits",
+    "effective_descent_by_chains",
     "generators_by_pairs",
     "dumps_by_pairs",
     "closure_slow",
@@ -97,8 +99,8 @@ def monotone_by_pairs(src_rows, dst_rows, values) -> bool:
 
 def or_rows_by_bits(rows, table) -> tuple[int, ...]:
     """The OR of ``table[j]`` over the set bits ``j`` of each row, one step
-    per set bit: the slow counterpart of the covered walk in
-    ``relations._or_rows``."""
+    per set bit: the slow counterpart of the recorded covered walk that
+    ``relations._or_rows`` replays."""
     out = []
     for row in rows:
         acc = 0
@@ -109,12 +111,20 @@ def or_rows_by_bits(rows, table) -> tuple[int, ...]:
 
 
 def transpose_by_bits(rows, width: int) -> tuple[int, ...]:
-    """Bit columns, one update per set bit: the slow counterpart of the
-    covered walk in ``relations._transpose``."""
+    """Bit columns, one update per set bit: the slow counterpart of
+    ``Relation.columns``, the backward replay of ``relations._or_cols``
+    with the weights ``1 << i``."""
+    return or_cols_by_bits(rows, [1 << i for i in range(len(rows))], width)
+
+
+def or_cols_by_bits(rows, weights, width: int) -> tuple[int, ...]:
+    """Entry ``k`` is the OR of ``weights[i]`` over the rows ``i`` holding
+    bit ``k``, one update per set bit: the slow counterpart of the backward
+    replay in ``relations._or_cols``."""
     cols = [0] * width
     for i, row in enumerate(rows):
         for j in _bits(row):
-            cols[j] |= 1 << i
+            cols[j] |= weights[i]
     return tuple(cols)
 
 
@@ -393,6 +403,28 @@ def universal_orthogonality(
     if count != 1:
         return False, f"{count} diagonal fillers found"
     return True, None
+
+
+def effective_descent_by_chains(f: PreordMorphism) -> tuple[int, int, int] | None:
+    """The first chain ``b1 ≤ b2 ≤ b3`` of the target, by ``b2``, then
+    ``b1``, then ``b3``, such that no chain ``e1 ≤ e2 ≤ e3`` of the source
+    maps onto it, or ``None``: Janelidze and Sobral's chain criterion for
+    effective descent, tried on every triple of source points.  The slow
+    counterpart of ``factorization.is_effective_descent``."""
+    p, q = f.src, f.dst
+    for b2 in range(q.size):
+        for b1 in range(q.size):
+            for b3 in range(q.size):
+                if not (q.leq(b1, b2) and q.leq(b2, b3)):
+                    continue
+                if not any(
+                    (f(e1), f(e2), f(e3)) == (b1, b2, b3) and p.leq(e1, e2) and p.leq(e2, e3)
+                    for e1 in range(p.size)
+                    for e2 in range(p.size)
+                    for e3 in range(p.size)
+                ):
+                    return (b1, b2, b3)
+    return None
 
 
 def compose_relations_slow(r: Relation, s: Relation) -> Relation:

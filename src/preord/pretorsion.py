@@ -20,9 +20,9 @@ from .relations import (
     _built,
     _excess,
     _fresh_carrier,
-    _or_rows,
     _quotient,
     _row_owners,
+    _walk,
     compose_morphisms,
     identity_map,
     inverse_image,
@@ -93,7 +93,7 @@ def generators(p: FinPreorder) -> Relation:
         row & least & ~owners[row] if least >> a & 1 else 0
         for a, row in enumerate(rows)
     ]
-    edges = [s & ~between for s, between in zip(strict, _or_rows(strict, strict))]
+    edges = [s & ~between for s, between in zip(strict, _walk(strict, strict)[0])]
     for members in owners.values():
         if members & (members - 1):
             cycle = list(_bits(members))

@@ -19,15 +19,17 @@ is made with ``_built``, unchecked, and its docstring says why it holds; the
 suites re-check them, each record through its public constructor.
 
 Values derived from one value are computed once and memoised on it, outside
-its dataclass fields, so equality, hashing and ``repr`` are unchanged: the
-columns of a relation, the fibres of a map, the pulled-back target order of
-a morphism, and in ``pretorsion`` the symmetric core of a relation, the
-reflection of a preorder and the reflected map of a morphism.  No memo
-reaches back to its owner, so a value is freed with its last reference.
+its dataclass fields, so equality, hashing and ``repr`` are unchanged: a
+relation's walk and its columns, the fibres of a map, the pulled-back
+target order of a morphism, and in ``pretorsion`` the symmetric core of a
+relation, the reflection of a preorder and the reflected map of a
+morphism.  No memo reaches back to its owner, so a value is freed with its
+last reference.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -66,20 +68,29 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _or_rows(rows: Sequence[int], table: Sequence[int]) -> tuple[int, ...]:
-    """Row ``i`` of the result is the OR of ``table[j]`` over the set bits
-    ``j`` of ``rows[i]``: the bit-row kernel behind composition, direct and
-    inverse image, pullbacks and the order checks.
+def _walk(
+    rows: Sequence[int], table: Sequence[int], steps: list[int] | None = None
+) -> tuple[tuple[int, ...], list[int]]:
+    """Row ``i`` of the first result is the OR of ``table[j]`` over the set
+    bits ``j`` of ``rows[i]``; given a list ``steps``, the walk that
+    computed it is recorded there and in the second result, ``ids``, for
+    replay against any table of the same length.  This is the one walk
+    behind ``_or_rows`` and ``_or_cols``; rows that no relation owns use it
+    directly and record nothing.
 
     The rows are visited in ascending order of value, so every strict
-    subset of ``r``, a smaller number, comes before it; a row equal to the
-    one visited before it copies that result, so each distinct row is
-    computed once.  Results are kept by index, in a list aligned with
-    ``rows``.  The walk over ``r`` takes the lowest unreached bit ``k``, ORs
-    in ``table[k]`` and counts ``k`` as reached; when ``rows[k]`` is a
-    strict subset of ``r`` (the guard), it also ORs in ``out[k]``, the
-    result already computed for ``rows[k]``, and counts all of ``rows[k]``
-    as reached.
+    subset of ``r``, a smaller number, comes before it, and a row equal to
+    the one visited before it is not walked again.  The walk over ``r``
+    takes the lowest unreached bit ``k``, ORs in ``table[k]`` and counts
+    ``k`` as reached; when ``rows[k]`` is a strict subset of ``r`` (the
+    guard), it ORs in the result of ``rows[k]`` instead, and ``table[k]``
+    too only when ``k`` lies outside ``rows[k]``, and counts all of
+    ``rows[k]`` as reached.
+
+    The record numbers the table entries ``0 .. len(table) - 1`` and the
+    distinct rows after them, in the order visited: ``ids[i]`` is the
+    number of ``rows[i]``, and ``steps`` lists the number of everything
+    ORed in, with ``-1`` after each distinct row.
 
     Exact on every relation, by induction on the popcount of ``r``: every
     bit of ``r`` is reached either as some ``k``, whose ``table[k]`` is
@@ -101,6 +112,8 @@ def _or_rows(rows: Sequence[int], table: Sequence[int]) -> tuple[int, ...]:
     """
     n = len(rows)
     out = [0] * n
+    ids = [0] * n
+    here = len(table) - 1
     prev = acc = None
     for i in sorted(range(n), key=rows.__getitem__):
         r = rows[i]
@@ -111,15 +124,89 @@ def _or_rows(rows: Sequence[int], table: Sequence[int]) -> tuple[int, ...]:
             while rem:
                 low = rem & -rem
                 k = low.bit_length() - 1
-                acc |= table[k]
                 rem ^= low
                 if k < n:
                     sub = rows[k]
                     if sub != r and sub | r == r:
                         acc |= out[k]
+                        if steps is not None:
+                            steps.append(ids[k])
                         rem &= ~sub
+                        if sub & low:
+                            continue
+                acc |= table[k]
+                if steps is not None:
+                    steps.append(k)
+            if steps is not None:
+                steps.append(-1)
+            here += 1
+        ids[i] = here
         out[i] = acc
-    return tuple(out)
+    return tuple(out), ids
+
+
+def _or_rows(rel: Relation, table: Sequence[int]) -> tuple[int, ...]:
+    """Row ``i`` of the result is the OR of ``table[j]`` over the set bits
+    ``j`` of ``rel.rows[i]``, for a table of one entry per column: the
+    bit-row kernel behind composition, direct and inverse image, pullbacks
+    and the order checks.
+
+    The first call walks the rows and memoises the record on ``rel``,
+    outside its dataclass fields, as ``Relation.columns`` is: the list
+    ``ids`` that ``_walk`` built and its ``steps`` packed four bytes each.
+    Later calls replay it against their own table with no bit arithmetic
+    on the rows: ``vals`` starts as the table, and each ``-1`` in
+    ``steps`` appends the OR of the entries read since the previous one."""
+    memos = rel.__dict__
+    walk = memos.get("_walk")
+    if walk is None:
+        steps = []
+        out, ids = _walk(rel.rows, table, steps)
+        memos["_walk"] = ids, array("i", steps)
+        return out
+    ids, steps = walk
+    vals = list(table)
+    acc = 0
+    for j in steps:
+        if j < 0:
+            vals.append(acc)
+            acc = 0
+        else:
+            acc |= vals[j]
+    return tuple(map(vals.__getitem__, ids))
+
+
+def _or_cols(rel: Relation, weights: Iterable[int]) -> tuple[int, ...]:
+    """Entry ``k`` of the result is the OR of ``weights[i]`` over the ``i``
+    with ``k`` in ``rel.rows[i]``, one entry per column; with the weights
+    ``1 << i`` these are the columns of ``rel``.
+
+    The walk of ``rel`` replayed backward, recorded first over a table of
+    zeros if no call has recorded it yet.  Each distinct row starts with
+    the OR of the weights of the indices carrying it, and in descending
+    order each row ORs its mask into every entry it recorded, a column or
+    an earlier row, a strict subset visited after it.  Exact by the
+    forward replay: the mask of ``r`` reaches column ``k`` exactly when
+    the forward walk of ``r`` reads ``table[k]``, directly or through its
+    subsets, which is when ``k`` is in ``r``."""
+    width = rel.dst.size
+    memos = rel.__dict__
+    if "_walk" not in memos:
+        _or_rows(rel, [0] * width)
+    ids, steps = memos["_walk"]
+    # the last row visited, the largest, holds the last index of ``vals``
+    vals = [0] * (max(ids) + 1 if ids else width)
+    for j, weight in zip(ids, weights):
+        vals[j] |= weight
+    d = len(vals)
+    for j in reversed(steps):
+        if j < 0:
+            d -= 1
+            mask = vals[d]
+        else:
+            vals[j] |= mask
+    del vals[width:]
+    return tuple(vals)
 
 
 def _is_label(lab: object) -> bool:
@@ -257,15 +344,18 @@ class Relation:
         return sum(row.bit_count() for row in self.rows)
 
     def columns(self) -> tuple[int, ...]:
-        """Bit columns: bit ``i`` of ``columns()[j]`` iff ``(i, j)`` related.
+        """Bit columns: bit ``i`` of ``columns()[j]`` iff ``(i, j)`` related,
+        the backward replay of the relation's walk weighing row ``i`` by
+        ``1 << i``.
 
         Memoised on the instance, outside its dataclass fields, so equality,
         hashing and ``repr`` are unchanged.
         """
-        cols = self.__dict__.get("_columns")
+        memos = self.__dict__
+        cols = memos.get("_columns")
         if cols is None:
-            cols = _transpose(self.rows, self.dst.size)
-            object.__setattr__(self, "_columns", cols)
+            weights = map((1).__lshift__, range(self.src.size))
+            cols = memos["_columns"] = _or_cols(self, weights)
         return cols
 
     def is_endorelation(self) -> bool:
@@ -274,40 +364,6 @@ class Relation:
     def is_subrelation_of(self, other: "Relation") -> bool:
         _require_same_carriers(self, other)
         return _excess(self.rows, other.rows) is None
-
-
-def _transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
-    """The bit columns of ``rows``: the transpose behind ``Relation.columns``.
-
-    Column ``j`` is the OR of the owner masks (the indices carrying a row)
-    of the distinct rows that contain ``j``.  The distinct rows are visited
-    in descending order, each with its owner mask plus the masks pushed
-    down into it so far.  The walk of ``_or_rows`` runs over the row: the
-    lowest unreached bit ``k`` gets the mask in its column, and when
-    ``rows[k]`` is a strict subset of the row, the mask is pushed down into
-    ``rows[k]`` and all of ``rows[k]`` counts as reached.  Exact by the same
-    induction as ``_or_rows``: a mask pushed into a strict subset, a smaller
-    number, arrives before that row is visited, and then reaches every bit
-    of the subset and nothing else.  On a preorder it steps along covering
-    steps under the same numbering condition.
-    """
-    n = len(rows)
-    cols = [0] * width
-    owners = _row_owners(rows)
-    for r in sorted(owners, reverse=True):
-        mask = owners[r]
-        rem = r
-        while rem:
-            low = rem & -rem
-            k = low.bit_length() - 1
-            cols[k] |= mask
-            rem ^= low
-            if k < n:
-                sub = rows[k]
-                if sub != r and sub | r == r:
-                    owners[sub] |= mask
-                    rem &= ~sub
-    return tuple(cols)
 
 
 def _require_same_carriers(r: Relation, s: Relation) -> None:
@@ -325,7 +381,7 @@ def compose_relations(r: Relation, s: Relation) -> Relation:
     ``y s z``; one OR of rows of ``s`` per row of ``r``, built unchecked."""
     if r.dst != s.src:
         raise ValueError("carrier mismatch: middle carriers differ")
-    return _built(Relation, r.src, s.dst, _or_rows(r.rows, s.rows))
+    return _built(Relation, r.src, s.dst, _or_rows(r, s.rows))
 
 
 def opposite(r: Relation) -> Relation:
@@ -420,11 +476,17 @@ def direct_image(f: SetMap, r: Relation) -> Relation:
     _require_endorelation(r)
     if r.src != f.dom:
         raise ValueError("carrier mismatch: relation does not live on the map's domain")
-    images = _or_rows(r.rows, [1 << v for v in f.values])
+    return _built(Relation, f.cod, f.cod, _push(f, _or_rows(r, [1 << v for v in f.values])))
+
+
+def _push(f: SetMap, images: Sequence[int]) -> tuple[int, ...]:
+    """The rows of a direct image along ``f``, given ``images[a]``, the
+    image of row ``a``: row ``b`` is the OR of ``images[a]`` over the fibre
+    of ``b``."""
     rows = [0] * f.cod.size
     for v, image in zip(f.values, images):
         rows[v] |= image
-    return _built(Relation, f.cod, f.cod, tuple(rows))
+    return tuple(rows)
 
 
 def inverse_image(f: SetMap, s: Relation) -> Relation:
@@ -433,13 +495,13 @@ def inverse_image(f: SetMap, s: Relation) -> Relation:
     _require_endorelation(s)
     if s.src != f.cod:
         raise ValueError("carrier mismatch: relation does not live on the map's codomain")
-    return _built(Relation, f.dom, f.dom, _pull(f, s.rows))
+    return _built(Relation, f.dom, f.dom, _pull(f, s))
 
 
-def _pull(f: SetMap, rows: Sequence[int]) -> tuple[int, ...]:
+def _pull(f: SetMap, s: Relation) -> tuple[int, ...]:
     """The rows of an endorelation on ``f.cod`` pulled back along ``f``, by
     ORing the fibres over each distinct row: ``inverse_image``'s kernel."""
-    pulled = _or_rows(rows, f.preimage_masks())
+    pulled = _or_rows(s, f.preimage_masks())
     return tuple(map(pulled.__getitem__, f.values))
 
 
@@ -543,7 +605,7 @@ def _preorder_failure(carrier: FinSet, rel: Relation) -> str | None:
     for i in range(carrier.size):
         if not rows[i] >> i & 1:
             return f"not reflexive: ({i}, {i}) missing"
-    bad = _excess(_or_rows(rows, rows), rows)
+    bad = _excess(_or_rows(rel, rows), rows)
     if bad is not None:
         i, k = bad
         j = next(j for j in _bits(rows[i]) if rows[j] >> k & 1)
@@ -615,7 +677,7 @@ def reflexive_transitive_closure(r: Relation) -> FinPreorder:
     Condensation closure (Purdom 1970; Nuutila 1995): the components of
     ``_scc_classes`` come sinks first, so when a component is reached every
     component it points into is already closed.  Its row is its own mask
-    plus the covered walk of ``_or_rows`` over its successors: the lowest
+    plus the covered walk of ``_walk`` over its successors: the lowest
     unreached successor ``k`` ORs in its closed row, which is a subset of
     the answer, and counts all of it, and ``k`` itself, as reached.  A row
     holds its own element and the closed rows of its successors, so the
@@ -678,7 +740,7 @@ def _pulled_back(f: PreordMorphism) -> tuple[int, ...]:
     dataclass fields, as ``Relation.columns`` is."""
     pulled = f.__dict__.get("_pulled_back")
     if pulled is None:
-        pulled = _pull(f.map, f.dst.rel.rows)
+        pulled = _pull(f.map, f.dst.rel)
         object.__setattr__(f, "_pulled_back", pulled)
     return pulled
 
@@ -729,8 +791,8 @@ def preord_pullback(f: PreordMorphism, g: PreordMorphism) -> Pullback:
     for k, (x, z) in enumerate(pairs):
         xmask[x] |= 1 << k
         zmask[z] |= 1 << k
-    rx = _or_rows(x_obj.rel.rows, xmask)
-    sz = _or_rows(z_obj.rel.rows, zmask)
+    rx = _or_rows(x_obj.rel, xmask)
+    sz = _or_rows(z_obj.rel, zmask)
     xl = x_obj.carrier.labels or tuple(map(str, range(x_obj.size)))
     zl = z_obj.carrier.labels or tuple(map(str, range(z_obj.size)))
     carrier = _fresh_carrier([f"({xl[x]},{zl[z]})" for x, z in pairs])

@@ -38,6 +38,7 @@ from .relations import (
     _preorder_failure,
     _pulled_back,
     _row_owners,
+    _walk,
     compose_morphisms,
     direct_image,
     inverse_image,
@@ -127,10 +128,11 @@ def _relation_predicates(r: Relation) -> _Predicates:
     rows and columns, independently of ``FinPreorder``'s equal-rows
     readings."""
     rows = r.rows
-    cols = r.columns()
+    transitive = _excess(_or_rows(r, rows), rows) is None  # R∘R ⊆ R
+    cols = r.columns()  # replays the walk that the composite recorded
     return _Predicates(
         reflexive=all(row >> i & 1 for i, row in enumerate(rows)),
-        transitive=_excess(_or_rows(rows, rows), rows) is None,  # R∘R ⊆ R
+        transitive=transitive,
         symmetric=rows == cols,
         antisymmetric=all(
             row & col & ~(1 << i) == 0 for i, (row, col) in enumerate(zip(rows, cols))
@@ -327,7 +329,7 @@ def _covering_kernel_is_reflected(f: PreordMorphism, m: PreordMorphism) -> bool:
         for a in cls:
             class_of[a] = ci
     expected = [0] * len(classes)
-    for ci, image in zip(class_of, _or_rows(kernel, [1 << c for c in class_of])):
+    for ci, image in zip(class_of, _walk(kernel, [1 << c for c in class_of])[0]):
         expected[ci] |= image
     fibres = m.map.preimage_masks()
     return [row & fibres[v] for row, v in zip(mid.rel.rows, m.map.values)] == expected
@@ -473,6 +475,16 @@ def check_cover_parts(
 def check_cover(b: FinPreorder) -> str | None:
     total, projection = fct.effective_descent_cover(b)
     return check_cover_parts(b, total, projection)
+
+
+def check_effective_descent_chains(f: PreordMorphism) -> str | None:
+    """The effective-descent test names the chain that the brute force over
+    every triple of source points finds first."""
+    fast = fct._effective_descent_counterexample(f)
+    slow = oracle.effective_descent_by_chains(f)
+    if fast != slow:
+        return f"effective descent reports {fast}, the chains {slow}"
+    return None
 
 
 def check_orthogonality_square(
@@ -819,6 +831,15 @@ def suite_factorization(max_n: int = 3, seed: int = 0) -> SuiteReport:
     _sweep(report, "orthogonality on random squares", random_squares(), check_orthogonality_square)
 
     _sweep(report, "effective-descent covers (exhaustive)", zip(objects), check_cover)
+
+    def chain_instances():
+        yield from ((f,) for f in morphisms if max(f.src.size, f.dst.size) <= 2)
+        for b in objects:
+            if b.size <= 2:
+                yield (fct.effective_descent_cover(b).projection,)
+
+    _sweep(report, "effective descent agrees with the chain brute force",
+           chain_instances(), check_effective_descent_chains)
 
     _sweep(report, "effective-descent covers (random)",
            zip(_random_preorders(rng, _COVER_RANDOM, _COVER_SIZE)), check_cover)

@@ -21,6 +21,25 @@ def preorders(draw, max_size: int = 8, min_size: int = 0):
     return FinPreorder.from_edges(n, edges)
 
 
+# Printable tokens that spell what the library itself writes as labels:
+# points ``a`` and ``b`` make the class label ``{a,b}``, and so does the
+# point ``a,b`` alone; ``{a}`` and ``(a,b)`` are class and pair labels, and
+# ``0`` and ``1`` the default labels.  The pool is small, so a drawn
+# preorder often holds colliding tokens.
+ADVERSARIAL_LABELS = ("a", "b", "a,b", "{a}", "{a,b}", "(a,b)", "0", "1", "0,1")
+
+
+@st.composite
+def labelled_preorders(draw, max_size: int = 6):
+    """A preorder of ``preorders`` relabelled by distinct tokens drawn from
+    ``ADVERSARIAL_LABELS``."""
+    p = draw(preorders(max_size))
+    tokens = st.sampled_from(ADVERSARIAL_LABELS)
+    labels = draw(st.lists(tokens, min_size=p.size, max_size=p.size, unique=True))
+    carrier = FinSet(p.size, tuple(labels))
+    return FinPreorder(carrier, Relation(carrier, carrier, p.rel.rows))
+
+
 @st.composite
 def endorelations(draw, max_size: int = 5):
     n = draw(st.integers(0, max_size))

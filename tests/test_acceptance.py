@@ -233,9 +233,10 @@ EXPECTED_REPORT_LINES = {
         "ok   light factorizations are unique up to comparison [11345 instances]",
         "ok   orthogonality on random squares [185 instances]",
         "ok   effective-descent covers (exhaustive) [35 instances]",
+        "ok   effective descent agrees with the chain brute force [75 instances]",
         "ok   effective-descent covers (random) [500 instances]",
         "ok   random factorizations certify and compose [1000 instances]",
-        "pass: suite factorization (15/15 checks)",
+        "pass: suite factorization (16/16 checks)",
     ],
     "stable_units_report": [
         "ok   stable units (exhaustive) [7359 instances]",

@@ -76,6 +76,13 @@ class TestPointSets:
         with pytest.raises(IndexError):
             min_open(sierpinski(), 5)
 
+    def test_is_open_on_every_subset_and_nothing_else(self):
+        space = sierpinski()
+        assert [mask for mask in range(4) if space.is_open(mask)] == [0, 1, 3]
+        for mask in (-1, -4, 4, 32):
+            with pytest.raises(ValueError, match=rf"mask {mask} is not a subset"):
+                space.is_open(mask)
+
 
 class TestPredicates:
     def test_discrete(self):

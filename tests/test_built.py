@@ -11,14 +11,22 @@ as ``None``.  Equal values must also hash equally, since built values meet
 checked ones in sets and dicts.
 """
 
+import contextlib
+import importlib
+import pkgutil
 import random
 
 import pytest
+from hypothesis import given, settings
 
+import preord
+import strategies as sts
 from preord import alexandroff as alx
 from preord import factorization as fct
 from preord import oracle
 from preord import pretorsion as pre
+from preord import relations
+from preord import suites
 from preord.relations import (
     FinPreorder,
     FinSet,
@@ -190,3 +198,65 @@ def test_every_site_on_the_edge_cases():
     swapped = FinPreorder.chain(2, labels=("1", "0"))
     check_object_sites(swapped)
     check_map_sites(PreordMorphism(two, swapped, SetMap(two.carrier, swapped.carrier, (1, 0))))
+
+
+# every module that builds values unchecked, each through its own ``_built``
+BUILDING_MODULES = (relations, pre, fct, alx, oracle, suites)
+UNCHECKED = relations._built
+
+
+def checking_twin(cls, *values):
+    """``_built``, followed by a rebuild of the same fields through the public
+    constructor, which must give an equal value with an equal hash."""
+    value = UNCHECKED(cls, *values)
+    checked = cls(*values)
+    assert checked == value and hash(checked) == hash(value), f"{cls.__name__} {values!r}"
+    return value
+
+
+@contextlib.contextmanager
+def checked_builds():
+    """A context in which every module's ``_built`` is ``checking_twin``."""
+    with pytest.MonkeyPatch.context() as mp:
+        for module in BUILDING_MODULES:
+            mp.setattr(module, "_built", checking_twin)
+        yield
+
+
+def test_the_twin_reaches_every_module_that_builds():
+    modules = [
+        importlib.import_module(f"preord.{info.name}")
+        for info in pkgutil.iter_modules(preord.__path__)
+        if info.name != "__main__"
+    ]
+    building = [module for module in modules if getattr(module, "_built", None) is UNCHECKED]
+    assert set(building) == set(BUILDING_MODULES)
+
+
+def test_every_suite_with_every_build_checked():
+    """The four suites at ``--max-n 2``, random sweeps included."""
+    with checked_builds():
+        for suite in suites.SUITES.values():
+            report = suite(max_n=2, seed=0)
+            assert report.ok, report.lines()
+
+
+@settings(max_examples=200, deadline=None)
+@given(sts.labelled_preorders())
+def test_adversarial_labels_with_every_build_checked(p):
+    """Labels that spell built ones, through the reflection, cover, document,
+    space, T0-reflection, decomposition and factorization checks."""
+    with checked_builds():
+        poset, unit = pre.reflect(p)
+        assert suites.check_reflection_parts(p, poset, unit) is None
+        for check in (
+            suites.check_cover,
+            suites.check_document_roundtrip,
+            suites.check_space_roundtrip,
+            suites.check_t0_reflection_agreement,
+            suites.check_decomposition_roundtrip,
+        ):
+            assert check(p) is None, check.__name__
+        assert suites.check_factorizations(unit) is None
+        check_object_sites(p)
+        check_map_sites(unit)

@@ -442,7 +442,7 @@ class TestCheck:
             monkeypatch.setattr(suites, name, value)
         for suite in suites.SUITES.values():
             assert suite(max_n=2).ok
-        assert len(seen) == 1946
+        assert len(seen) == 2021
         for instance in seen:
             assert type(instance) is tuple and instance
             assert all(isinstance(x, (FinPreorder, PreordMorphism)) for x in instance)

@@ -25,6 +25,7 @@ from preord.factorization import (
 )
 from preord import factorization, pretorsion, relations
 from preord.oracle import (
+    effective_descent_by_chains,
     enumerate_morphisms,
     enumerate_preorders,
     random_preorder,
@@ -131,6 +132,7 @@ class TestClassify:
         core = canonical_sequence(p).torsion_part.src
         sym_core(core)
         reflect_morphism(reflect(p).unit)
+        assert "_walk" in p.rel.__dict__ and "_walk" in q.rel.__dict__  # recorded walks
         refs = [weakref.ref(x) for x in (p, p.rel, q, q.rel, f, f.map, core, core.rel)]
         enabled = gc.isenabled()
         gc.disable()
@@ -180,24 +182,7 @@ class TestClassify:
             for q in objects:
                 for f in enumerate_morphisms(p, q):
                     seen += 1
-                    chains = (
-                        (b1, b2, b3)
-                        for b2 in range(q.size)
-                        for b1 in range(q.size)
-                        for b3 in range(q.size)
-                        if q.leq(b1, b2) and q.leq(b2, b3)
-                    )
-                    unlifted = (
-                        chain
-                        for chain in chains
-                        if not any(
-                            (f(e1), f(e2), f(e3)) == chain and p.leq(e1, e2) and p.leq(e2, e3)
-                            for e1 in range(p.size)
-                            for e2 in range(p.size)
-                            for e3 in range(p.size)
-                        )
-                    )
-                    first = next(unlifted, None)
+                    first = effective_descent_by_chains(f)
                     assert classify(f).counterexamples.get("effective_descent") == first
         assert seen == 11345
 

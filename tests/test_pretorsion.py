@@ -157,11 +157,12 @@ class TestReflect:
                 gc.enable()
 
     def test_no_relation_is_transposed(self, monkeypatch):
-        # count real transposes, below the memo in ``Relation.columns``
+        # count real transposes, the backward replays below the memo in
+        # ``Relation.columns``
         transposed = []
-        transpose = relations._transpose
+        or_cols = relations._or_cols
         monkeypatch.setattr(
-            relations, "_transpose", lambda rows, width: transposed.append(rows) or transpose(rows, width)
+            relations, "_or_cols", lambda rel, weights: transposed.append(rel) or or_cols(rel, weights)
         )
         p = running_example()
         canonical_sequence(p)

@@ -17,6 +17,7 @@ from preord.oracle import (
     enumerate_preorders,
     enumerate_set_maps,
     monotone_by_pairs,
+    or_cols_by_bits,
     or_rows_by_bits,
     transitive_by_pairs,
     transpose_by_bits,
@@ -25,9 +26,10 @@ from preord.oracle import (
 from preord.relations import (
     _built,
     _excess,
+    _or_cols,
     _or_rows,
     _scc_classes,
-    _transpose,
+    _walk,
     FinPreorder,
     FinSet,
     PreordMorphism,
@@ -587,9 +589,9 @@ def _transitivity_failure(carrier, rows):
         i, j, j2, k, i2, k2 = map(int, TRANSITIVITY_FAILURE.fullmatch(str(exc)).groups())
         assert (j, i, k) == (j2, i2, k2)
         assert rows[i] >> j & 1 and rows[j] >> k & 1 and not rows[i] >> k & 1
-        assert _excess(_or_rows(rows, rows), rows) == (i, k)
+        assert _excess(_walk(rows, rows)[0], rows) == (i, k)
         return (i, j, k)
-    assert _excess(_or_rows(rows, rows), rows) is None
+    assert _excess(_walk(rows, rows)[0], rows) is None
     return None
 
 
@@ -698,18 +700,34 @@ def cyclic_relations(draw):
 
 
 def _assert_kernel_matches_bits(r):
+    """On a fresh copy of ``r``: the call that records its walk, then a
+    replay with a second table, the backward replay and the columns, each
+    against its per-bit counterpart; and on another copy, the columns as
+    the first call."""
     rows, width = r.rows, r.dst.size
     singletons = tuple(1 << j for j in range(width))
-    assert _or_rows(rows, singletons) == or_rows_by_bits(rows, singletons) == rows
-    assert _transpose(rows, width) == transpose_by_bits(rows, width)
+    wide = tuple(0b101 << j for j in range(width))
+    weights = tuple(0b11 << i for i in range(len(rows)))
+    first = Relation(r.src, r.dst, rows)
+    assert first.columns() == transpose_by_bits(rows, width)
+    assert _or_rows(first, wide) == or_rows_by_bits(rows, wide)
+    r = Relation(r.src, r.dst, rows)
+    assert "_walk" not in r.__dict__
+    assert _or_rows(r, singletons) == or_rows_by_bits(rows, singletons) == rows
+    walk = r.__dict__["_walk"]
+    assert _or_rows(r, wide) == or_rows_by_bits(rows, wide)
+    assert _or_cols(r, weights) == or_cols_by_bits(rows, weights, width)
+    assert r.columns() == transpose_by_bits(rows, width)
+    assert r.__dict__["_walk"] is walk
     if r.is_endorelation():
-        assert _or_rows(rows, rows) == or_rows_by_bits(rows, rows)
+        assert _or_rows(r, rows) == or_rows_by_bits(rows, rows)
         assert reflexive_transitive_closure(r) == closure_slow(r)
 
 
 class TestCoveredKernel:
-    """The covered walks of ``_or_rows``, ``_transpose`` and the closure
-    agree with their per-bit counterparts in ``oracle``."""
+    """The recorded covered walk, replayed forward by ``_or_rows`` and
+    backward by ``_or_cols`` and ``Relation.columns``, and the walk of the
+    closure agree with their per-bit counterparts in ``oracle``."""
 
     def test_every_endorelation_up_to_three_points(self):
         seen = 0
@@ -723,7 +741,9 @@ class TestCoveredKernel:
     def test_or_rows_on_every_row_tuple_up_to_three_points(self):
         """Every tuple of up to three rows over up to three points, against
         singleton tables (whose answer is the rows), tables wider than the
-        rows, and the rows themselves when they can index their own bits."""
+        rows, and the rows themselves when they can index their own bits;
+        and the walk recorded on a relation into the wider carrier, replayed
+        forward with a second table and backward with weights."""
         seen = 0
         for n in range(4):
             for width in range(4):
@@ -732,10 +752,14 @@ class TestCoveredKernel:
                 for combo in range(1 << (n * width)):
                     rows = tuple(combo >> (i * width) & ((1 << width) - 1) for i in range(n))
                     seen += 1
-                    assert _or_rows(rows, singletons) == rows
-                    assert _or_rows(rows, wide) == or_rows_by_bits(rows, wide)
+                    assert _walk(rows, singletons)[0] == rows
+                    assert _walk(rows, wide)[0] == or_rows_by_bits(rows, wide)
+                    r = _built(Relation, FinSet(n), FinSet(width + 2), rows)
+                    assert _or_rows(r, wide) == or_rows_by_bits(rows, wide)  # records
+                    assert _or_rows(r, wide[::-1]) == or_rows_by_bits(rows, wide[::-1])  # replays
+                    assert _or_cols(r, wide[:n]) == or_cols_by_bits(rows, wide[:n], width + 2)
                     if width <= n:
-                        assert _or_rows(rows, rows) == or_rows_by_bits(rows, rows)
+                        assert _walk(rows, rows)[0] == or_rows_by_bits(rows, rows)
         assert seen == 4 + 1 + 2 + 4 + 8 + 1 + 4 + 16 + 64 + 1 + 8 + 64 + 512
 
     def test_heterogeneous_two_by_three_and_three_by_two(self):
