@@ -87,10 +87,10 @@ def _walk(
     too only when ``k`` lies outside ``rows[k]``, and counts all of
     ``rows[k]`` as reached.
 
-    The record numbers the table entries ``0 .. len(table) - 1`` and the
+    The record numbers the table entries ``1 .. len(table)`` and the
     distinct rows after them, in the order visited: ``ids[i]`` is the
     number of ``rows[i]``, and ``steps`` lists the number of everything
-    ORed in, with ``-1`` after each distinct row.
+    ORed in, with ``0`` after each distinct row.
 
     Exact on every relation, by induction on the popcount of ``r``: every
     bit of ``r`` is reached either as some ``k``, whose ``table[k]`` is
@@ -113,7 +113,7 @@ def _walk(
     n = len(rows)
     out = [0] * n
     ids = [0] * n
-    here = len(table) - 1
+    here = len(table)
     prev = acc = None
     for i in sorted(range(n), key=rows.__getitem__):
         r = rows[i]
@@ -136,9 +136,9 @@ def _walk(
                             continue
                 acc |= table[k]
                 if steps is not None:
-                    steps.append(k)
+                    steps.append(k + 1)
             if steps is not None:
-                steps.append(-1)
+                steps.append(0)
             here += 1
         ids[i] = here
         out[i] = acc
@@ -155,24 +155,25 @@ def _or_rows(rel: Relation, table: Sequence[int]) -> tuple[int, ...]:
     outside its dataclass fields, as ``Relation.columns`` is: the list
     ``ids`` that ``_walk`` built and its ``steps`` packed four bytes each.
     Later calls replay it against their own table with no bit arithmetic
-    on the rows: ``vals`` starts as the table, and each ``-1`` in
-    ``steps`` appends the OR of the entries read since the previous one."""
+    on the rows: ``vals`` is ``0`` and then the table, so a number indexes
+    it, and each ``0`` in ``steps`` appends the OR of the entries read
+    since the previous one."""
     memos = rel.__dict__
     walk = memos.get("_walk")
     if walk is None:
         steps = []
         out, ids = _walk(rel.rows, table, steps)
-        memos["_walk"] = ids, array("i", steps)
+        memos["_walk"] = ids, array("I", steps)
         return out
     ids, steps = walk
-    vals = list(table)
+    vals = [0, *table]
     acc = 0
     for j in steps:
-        if j < 0:
+        if j:
+            acc |= vals[j]
+        else:
             vals.append(acc)
             acc = 0
-        else:
-            acc |= vals[j]
     return tuple(map(vals.__getitem__, ids))
 
 
@@ -195,18 +196,17 @@ def _or_cols(rel: Relation, weights: Iterable[int]) -> tuple[int, ...]:
         _or_rows(rel, [0] * width)
     ids, steps = memos["_walk"]
     # the last row visited, the largest, holds the last index of ``vals``
-    vals = [0] * (max(ids) + 1 if ids else width)
+    vals = [0] * ((max(ids) if ids else width) + 1)
     for j, weight in zip(ids, weights):
         vals[j] |= weight
     d = len(vals)
     for j in reversed(steps):
-        if j < 0:
+        if j:
+            vals[j] |= mask
+        else:
             d -= 1
             mask = vals[d]
-        else:
-            vals[j] |= mask
-    del vals[width:]
-    return tuple(vals)
+    return tuple(vals[1 : width + 1])
 
 
 def _is_label(lab: object) -> bool:
