@@ -57,12 +57,12 @@ class AlexandroffSpace:
         n = self.carrier.size
         if len(self.min_nbhd) != n:
             raise ValueError(f"expected {n} neighborhoods, got {len(self.min_nbhd)}")
-        bound = 1 << n
+        bound, label = 1 << n, self.carrier.label
         for x, nbhd in enumerate(self.min_nbhd):
             if not 0 <= nbhd < bound:
-                raise ValueError(f"neighborhood of {x} is not a subset of the carrier")
+                raise ValueError(f"neighborhood of {label(x)} is not a subset of the carrier")
             if not nbhd >> x & 1:
-                raise ValueError(f"point {x} is missing from its own neighborhood")
+                raise ValueError(f"point {label(x)} is missing from its own neighborhood")
         nbhds = self.min_nbhd
         # U∘U ⊆ U, exact since the covered walk is exact on every relation
         bad = _excess(_walk(nbhds, nbhds)[0], nbhds)
@@ -70,7 +70,7 @@ class AlexandroffSpace:
             x, z = bad
             y = next(y for y in _bits(nbhds[x]) if nbhds[y] >> z & 1)
             raise ValueError(
-                f"neighborhoods are not nested: U({y}) is not inside U({x})"
+                f"neighborhoods are not nested: U({label(y)}) is not inside U({label(x)})"
             )
 
     @property
@@ -157,7 +157,7 @@ class ContinuousMap:
         pulled = _walk(self.dst.min_nbhd, self.map.preimage_masks())[0]
         bad = _excess(self.src.min_nbhd, tuple(map(pulled.__getitem__, self.map.values)))
         if bad is not None:
-            y, x = bad
+            y, x = map(self.src.carrier.label, bad)
             raise ValueError(
                 f"not continuous: {x} specializes to {y} but the images do not"
             )

@@ -20,8 +20,11 @@ The loader reads the text in one pass, keeping each block's lines, then
 ORs every edge straight into the bit row of its first point and closes the
 rows; the writer emits each generator row as its edge lines.  Every syntax
 error in the document is reported before any unknown point, and a block's
-``points`` may follow its ``edge`` lines.  ``oracle.dumps_by_pairs`` is the
-per-pair writer the fast one is checked against.
+``points`` may follow its ``edge`` lines.  Every point name of an ``edge``,
+``nbhd`` or ``send`` line is looked up in the index ``_index_points`` built
+once for its object or space, and only ``_resolve`` reports one missing.
+``oracle.dumps_by_pairs`` is the per-pair writer the fast one is checked
+against.
 
     preord 2
 
@@ -45,7 +48,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import TextIO
+from typing import Callable, TextIO
 
 from .pretorsion import generators
 from .relations import (
@@ -67,6 +70,7 @@ _READ_VERSIONS = ("1", "2")
 # ``bin(mask)[:1:-1].encode()`` spells the bits of ``mask`` lowest first as
 # the bytes ``0`` and ``1``; this table turns them into selectors 0 and 1
 _BIT_SELECTORS = bytes.maketrans(b"01", b"\0\1")
+_Index = dict[str, int]  # a block's points by name, numbered in order
 
 
 class DocumentError(Exception):
@@ -147,8 +151,9 @@ class _Block:
     ends: tuple[str, str] | None = None
 
 
-def _index_points(block: _Block) -> tuple[FinSet, dict[str, int]]:
-    position: dict[str, int] = {}
+def _index_points(block: _Block) -> tuple[FinSet, _Index]:
+    """Once the points are distinct ``FinSet`` takes them: each is a token cut at ``#``."""
+    position: _Index = {}
     for lab in block.points:
         if lab in position:
             raise DocumentError(
@@ -156,14 +161,10 @@ def _index_points(block: _Block) -> tuple[FinSet, dict[str, int]]:
                 block.point_lines[lab],
             )
         position[lab] = len(position)
-    try:
-        carrier = FinSet(len(block.points), tuple(block.points))
-    except ValueError as exc:
-        raise DocumentError(str(exc), block.line) from exc
-    return carrier, position
+    return FinSet(len(block.points), tuple(block.points)), position
 
 
-def _resolve(block: _Block, position: dict[str, int], label: str, lineno: int, what: str) -> int:
+def _resolve(block: _Block, position: _Index, label: str, lineno: int, what: str) -> int:
     if label not in position:
         raise DocumentError(
             f"unknown point {label!r} in {what} of {block.kind} {block.name!r}", lineno
@@ -171,7 +172,7 @@ def _resolve(block: _Block, position: dict[str, int], label: str, lineno: int, w
     return position[label]
 
 
-def _build_preorder(block: _Block, strict: bool, version: str) -> FinPreorder:
+def _build_preorder(block: _Block, strict: bool, version: str) -> tuple[FinPreorder, _Index]:
     """OR each edge into the row of its first point, then close the rows.
 
     Each point's bit is made once.  An unknown point stops the loop with a
@@ -202,7 +203,7 @@ def _build_preorder(block: _Block, strict: bool, version: str) -> FinPreorder:
     raw = Relation(carrier, carrier, tuple(rows))
     closed = reflexive_transitive_closure(raw)
     if not strict:
-        return closed
+        return closed, position
     if version == "1":
         edge, problem = _excess(closed.rel.rows, raw.rows), "not closed: missing"
     else:
@@ -213,7 +214,7 @@ def _build_preorder(block: _Block, strict: bool, version: str) -> FinPreorder:
             f"object {block.name!r} is {problem} edge {carrier.label(i)} {carrier.label(j)}",
             block.line,
         )
-    return closed
+    return closed, position
 
 
 def _build_space(block: _Block) -> AlexandroffSpace:
@@ -240,50 +241,37 @@ def _build_space(block: _Block) -> AlexandroffSpace:
         ) from exc
 
 
-def _build_morphism(block: _Block, doc: Document) -> PreordMorphism:
-    src_name, dst_name = block.ends
-    if src_name not in doc.preorders:
-        raise DocumentError(
-            f"morphism {block.name!r} references unknown object {src_name!r}",
-            block.line,
-        )
-    if dst_name not in doc.preorders:
-        raise DocumentError(
-            f"morphism {block.name!r} references unknown object {dst_name!r}",
-            block.line,
-        )
-    src = doc.preorders[src_name]
-    dst = doc.preorders[dst_name]
-    src_pos = {src.carrier.label(i): i for i in range(src.size)}
-    dst_pos = {dst.carrier.label(i): i for i in range(dst.size)}
+def _build_morphism(block: _Block, doc: Document, positions: dict[str, _Index]) -> PreordMorphism:
+    for end in block.ends:
+        if end not in doc.preorders:
+            raise DocumentError(
+                f"morphism {block.name!r} references unknown object {end!r}", block.line
+            )
+    src, dst = (doc.preorders[end] for end in block.ends)
+    src_pos, dst_pos = (positions[end] for end in block.ends)
     values: list[int | None] = [None] * src.size
     for a, b, lineno in block.sends:
-        if a not in src_pos:
-            raise DocumentError(
-                f"unknown point {a!r} in send of morphism {block.name!r}", lineno
-            )
-        if b not in dst_pos:
-            raise DocumentError(
-                f"unknown point {b!r} in send of morphism {block.name!r}", lineno
-            )
-        if values[src_pos[a]] is not None:
-            raise DocumentError(
-                f"point {a!r} is sent twice in morphism {block.name!r}", lineno
-            )
-        values[src_pos[a]] = dst_pos[b]
-    for i, v in enumerate(values):
-        if v is None:
-            raise DocumentError(
-                f"morphism {block.name!r} does not send point "
-                f"{src.carrier.label(i)!r}",
-                block.line,
-            )
+        i = _resolve(block, src_pos, a, lineno, "send")
+        j = _resolve(block, dst_pos, b, lineno, "send")
+        if values[i] is not None:
+            raise DocumentError(f"point {a!r} is sent twice in morphism {block.name!r}", lineno)
+        values[i] = j
+    if None in values:
+        missing = src.carrier.label(values.index(None))
+        raise DocumentError(f"morphism {block.name!r} does not send point {missing!r}", block.line)
     try:
         return PreordMorphism(src, dst, SetMap(src.carrier, dst.carrier, tuple(values)))
     except ValueError as exc:
-        raise DocumentError(
-            f"morphism {block.name!r} is not monotone: {exc}", block.line
-        ) from exc
+        raise DocumentError(f"morphism {block.name!r} is {exc}", block.line) from exc
+
+
+def _add(block: _Block, add: Callable[..., None], *args) -> None:
+    """``add(block.name, *args)`` for one of ``Document.add_*``, whose
+    refusal of a duplicate name is reported at the block's line."""
+    try:
+        add(block.name, *args)
+    except DocumentError as exc:
+        raise DocumentError(str(exc), block.line) from exc
 
 
 def loads(text: str, strict: bool = False) -> Document:
@@ -363,14 +351,16 @@ def loads(text: str, strict: bool = False) -> Document:
         else:
             raise DocumentError(f"unknown keyword {kw!r}", lineno)
     doc = Document()
+    positions: dict[str, _Index] = {}
     for block in blocks:
         if block.kind == "object":
-            doc.add_preorder(block.name, _build_preorder(block, strict, version))
+            p, positions[block.name] = _build_preorder(block, strict, version)
+            _add(block, doc.add_preorder, p)
         elif block.kind == "space":
-            doc.add_space(block.name, _build_space(block))
+            _add(block, doc.add_space, _build_space(block))
     for block in blocks:
         if block.kind == "morphism":
-            doc.add_morphism(block.name, _build_morphism(block, doc), *block.ends)
+            _add(block, doc.add_morphism, _build_morphism(block, doc, positions), *block.ends)
     return doc
 
 

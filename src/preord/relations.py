@@ -604,12 +604,13 @@ def _preorder_failure(carrier: FinSet, rel: Relation) -> str | None:
     rows = rel.rows
     for i in range(carrier.size):
         if not rows[i] >> i & 1:
-            return f"not reflexive: ({i}, {i}) missing"
+            return f"not reflexive: ({carrier.label(i)}, {carrier.label(i)}) missing"
     bad = _excess(_or_rows(rel, rows), rows)
     if bad is not None:
         i, k = bad
         j = next(j for j in _bits(rows[i]) if rows[j] >> k & 1)
-        return f"not transitive: ({i}, {j}) and ({j}, {k}) but not ({i}, {k})"
+        a, b, c = map(carrier.label, (i, j, k))
+        return f"not transitive: ({a}, {b}) and ({b}, {c}) but not ({a}, {c})"
     return None
 
 
@@ -714,14 +715,15 @@ class PreordMorphism:
     def __post_init__(self) -> None:
         if self.map.dom != self.src.carrier or self.map.cod != self.dst.carrier:
             raise ValueError("underlying map does not match the endpoints")
-        values = self.map.values
         # ≤_P ⊆ f*(≤_Q), exact since _or_rows is exact on every relation
         bad = _excess(self.src.rel.rows, _pulled_back(self))
         if bad is not None:
             a, a2 = bad
+            values = self.map.values
+            label, image = self.src.carrier.label, self.dst.carrier.label
             raise ValueError(
-                f"not monotone: ({a}, {a2}) related but "
-                f"({values[a]}, {values[a2]}) is not"
+                f"not monotone: ({label(a)}, {label(a2)}) related but "
+                f"({image(values[a])}, {image(values[a2])}) is not"
             )
 
     def __call__(self, a: int) -> int:

@@ -1,6 +1,8 @@
-"""Hypothesis strategies for preorders and monotone maps."""
+"""Hypothesis strategies for preorders and monotone maps, and the helpers
+that several test modules share."""
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import assume
 from hypothesis.errors import InvalidArgument
 
@@ -102,3 +104,21 @@ def monotone_maps(draw, max_size: int = 6, src=None, dst=None):
         assume(choices)
         values[a] = draw(st.sampled_from(choices))
     return PreordMorphism(p, q, SetMap(p.carrier, q.carrier, tuple(values)))
+
+
+def to_point(p: FinPreorder) -> PreordMorphism:
+    """The unique map from ``p`` to the one-point preorder."""
+    point = FinPreorder.discrete(1)
+    return PreordMorphism(p, point, SetMap(p.carrier, point.carrier, (0,) * p.size))
+
+
+def running_example() -> FinPreorder:
+    """The running example: ``0 ~ 1`` below ``2``."""
+    return FinPreorder.from_edges(3, [(0, 1), (1, 0), (1, 2)])
+
+
+def assert_rejects(build, kind: type, message: str) -> None:
+    """``build()`` raises exactly ``kind``, with exactly ``message``."""
+    with pytest.raises(kind) as caught:
+        build()
+    assert type(caught.value) is kind and str(caught.value) == message

@@ -17,7 +17,7 @@ from preord.alexandroff import (
 )
 from preord.oracle import enumerate_open_sets, enumerate_preorders
 from preord.pretorsion import reflect
-from preord.relations import FinPreorder, FinSet, SetMap, _bits
+from preord.relations import FinPreorder, FinSet, SetMap, _bits, identity_map
 
 
 def sierpinski():
@@ -189,3 +189,45 @@ class TestSpaceValidation:
         space = preorder_to_space(FinPreorder.discrete(13))
         with pytest.raises(ValueError, match="cap"):
             enumerate_open_sets(space)
+
+
+# each refusal of a public constructor or function, with its exception and
+# message; points of a labelled carrier are named by their labels
+REJECTIONS = {
+    "neighborhood-count": (
+        lambda: AlexandroffSpace(FinSet(2), (1,)), ValueError, "expected 2 neighborhoods, got 1",
+    ),
+    "neighborhood-off-the-carrier-labelled": (
+        lambda: AlexandroffSpace(FinSet(1, ("x",)), (0b11,)),
+        ValueError, "neighborhood of x is not a subset of the carrier",
+    ),
+    "not-nested-labelled": (
+        lambda: AlexandroffSpace(FinSet(3, ("a", "b", "c")), (0b011, 0b110, 0b100)),
+        ValueError, "neighborhoods are not nested: U(b) is not inside U(a)",
+    ),
+    "map-endpoints": (
+        lambda: ContinuousMap(
+            sierpinski(), preorder_to_space(FinPreorder.discrete(1)), identity_map(FinSet(2))
+        ),
+        ValueError, "underlying map does not match the endpoints",
+    ),
+    "not-continuous-labelled": (
+        lambda: ContinuousMap(
+            preorder_to_space(FinPreorder.chain(2, ("a", "b"))),
+            preorder_to_space(FinPreorder.discrete(2, ("x", "y"))),
+            SetMap(FinSet(2, ("a", "b")), FinSet(2, ("x", "y")), (0, 1)),
+        ),
+        ValueError, "not continuous: a specializes to b but the images do not",
+    ),
+    "closure-of-a-missing-point": (
+        lambda: closure_of_point(sierpinski(), 2), IndexError, "point 2 out of range 0..1",
+    ),
+    "subspace-on-a-missing-point": (
+        lambda: subspace(sierpinski(), [0, 5]), IndexError, "point 5 out of range 0..1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REJECTIONS)
+def test_rejections_name_their_reason(case):
+    sts.assert_rejects(*REJECTIONS[case])

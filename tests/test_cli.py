@@ -105,6 +105,10 @@ class TestReflect:
         assert main(["reflect", morphism_file, "-o", "Q"]) == 0
         assert "Q.quotient" in capsys.readouterr().out
 
+    def test_unknown_object(self, morphism_file, capsys):
+        assert main(["reflect", morphism_file, "-o", "Z"]) == 2
+        assert capsys.readouterr().err == "error: unknown object 'Z'\n"
+
 
 class TestClassify:
     def test_flags_printed(self, morphism_file, capsys):

@@ -5,6 +5,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, example, given
 
+import strategies as sts
 from preord import oracle
 from preord.alexandroff import preorder_to_space
 from preord.docio import Document, DocumentError, dumps, load, loads, save
@@ -100,7 +101,15 @@ ERRORS = {
     "points-after-edge": (HEAD + "object P\n  points a\n  edge a b\n  points b\n", False, None),
     "syntax-after-unknown-point": (OBJ + "  edge a z\nobject R\n  nonsense\n", False, "line 6: unknown keyword 'nonsense'"),
     "duplicate-points": (HEAD + "object P\n  points a b\n  points c a\n", False, "line 3: duplicate point 'a' in object 'P'"),
-    "duplicate-object": (OBJ + "space P\n  points a\n", False, "duplicate name 'P'"),
+    "duplicate-object": (OBJ + "space P\n  points a\n", False, "line 4: duplicate name 'P'"),
+    "duplicate-object-object": (OBJ + "object P\n  points b\n", False, "line 4: duplicate name 'P'"),
+    "duplicate-space-object": (
+        HEAD + "space P\n  points a\nobject P\n  points b\n", False, "line 4: duplicate name 'P'",
+    ),
+    "duplicate-morphism": (
+        HEAD + "object P\n  points a\nmorphism f P P\n  send a a\nmorphism f P P\n  send a a\n", False,
+        "line 6: duplicate morphism name 'f'",
+    ),
     "comment-inside-edge": (OBJ + "  edge a # b\n", False, "line 4: 'edge' takes exactly two points"),
     "comment-after-edge": (OBJ + "  edge a b # c\n", False, None),
     "object-arity": (HEAD + "object P Q\n", False, "line 2: 'object' takes exactly one name"),
@@ -128,12 +137,13 @@ ERRORS = {
     ),
     "space-not-alexandroff": (
         HEAD + "space S\n  points x y\n  nbhd x y\n", False,
-        "line 2: space 'S' is not Alexandroff: point 0 is missing from its own neighborhood",
+        "line 2: space 'S' is not Alexandroff: point x is missing from its own neighborhood",
     ),
     "morphism-arity": (TWO + "morphism f P\n", False, "line 7: 'morphism' takes a name, a source object and a target object"),
     "send-outside-morphism": (OBJ + "  send a b\n", False, "line 4: 'send' outside a morphism block"),
     "send-arity": (TWO + "morphism f P Q\n  send a\n", False, "line 8: 'send' takes exactly two points"),
     "send-unknown-object": (TWO + "morphism f P Z\n  send a x\n", False, "line 7: morphism 'f' references unknown object 'Z'"),
+    "send-unknown-source-object": (TWO + "morphism f Z Q\n  send a x\n", False, "line 7: morphism 'f' references unknown object 'Z'"),
     "send-unknown-source-point": (TWO + "morphism f P Q\n  send c x\n", False, "line 8: unknown point 'c' in send of morphism 'f'"),
     "send-unknown-target-point": (TWO + "morphism f P Q\n  send a z\n", False, "line 8: unknown point 'z' in send of morphism 'f'"),
     "send-twice": (
@@ -142,7 +152,7 @@ ERRORS = {
     "send-missing": (TWO + "morphism f P Q\n  send b y\n", False, "line 7: morphism 'f' does not send point 'a'"),
     "send-not-monotone": (
         TWO + "morphism f Q Q\n  send x y\n  send y x\n", False,
-        "line 7: morphism 'f' is not monotone: not monotone: (0, 1) related but (1, 0) is not",
+        "line 7: morphism 'f' is not monotone: (x, y) related but (y, x) is not",
     ),
 }
 
@@ -160,6 +170,39 @@ def test_error_messages_and_line_numbers(case):
     with pytest.raises(DocumentError) as caught:
         loads(text, strict)
     assert str(caught.value) == message
+
+
+def _one_point_document() -> Document:
+    """The one-point object ``P`` and its identity ``f``."""
+    doc, point = Document(), FinPreorder.discrete(1)
+    doc.add_preorder("P", point)
+    doc.add_morphism("f", identity_morphism(point), "P", "P")
+    return doc
+
+
+# ``Document.add_*`` called directly: their refusals carry no line
+REJECTIONS = {
+    "add-duplicate-name": (
+        lambda: _one_point_document().add_space("P", preorder_to_space(FinPreorder.discrete(1))),
+        "duplicate name 'P'",
+    ),
+    "add-duplicate-morphism": (
+        lambda: _one_point_document().add_morphism(
+            "f", identity_morphism(FinPreorder.discrete(1)), "P", "P"
+        ),
+        "duplicate morphism name 'f'",
+    ),
+    "add-name-not-a-token": (
+        lambda: Document().add_preorder("a b", FinPreorder.discrete(1)),
+        "name 'a b' is not a printable token",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REJECTIONS)
+def test_rejections_name_their_reason(case):
+    build, message = REJECTIONS[case]
+    sts.assert_rejects(build, DocumentError, message)
 
 
 class TestLoad:
@@ -322,6 +365,11 @@ class TestRoundTrip:
         buffer = io.StringIO()
         save(loads(RUNNING), buffer)
         assert buffer.getvalue() == GENERATED
+
+    def test_save_to_path(self, tmp_path):
+        target = tmp_path / "running.preord"
+        assert save(loads(RUNNING), target) == GENERATED
+        assert target.read_text(encoding="utf-8") == GENERATED
 
     def test_morphism_ends_must_be_added_first(self):
         u = reflect(FinPreorder.chain(2))[1]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 import strategies as sts
+from strategies import running_example, to_point
 from preord.factorization import (
     FactorizationResult,
     MorphismClassification,
@@ -57,17 +58,8 @@ from preord.suites import (
 )
 
 
-def to_point(p):
-    point = FinPreorder.discrete(1)
-    return PreordMorphism(p, point, SetMap(p.carrier, point.carrier, (0,) * p.size))
-
-
 def morph(src, dst, values):
     return PreordMorphism(src, dst, SetMap(src.carrier, dst.carrier, tuple(values)))
-
-
-def running_example():
-    return FinPreorder.from_edges(3, [(0, 1), (1, 0), (1, 2)])
 
 
 def every_small_map():
@@ -735,3 +727,29 @@ class TestClassAgreements:
             and direct_image(f.map, f.src.rel) == f.dst.rel
         )
         assert first == second == third
+
+
+def _square(e, m, u, v):
+    return lambda: check_orthogonality(e, m, u, v)
+
+
+ONE, CODISCRETE = identity_morphism(FinPreorder.discrete(1)), FinPreorder.codiscrete(2)
+
+# each refusal of ``check_orthogonality``'s inputs, with its message
+REJECTIONS = {
+    "top-endpoints": (_square(ONE, ONE, DISCRETE_2, ONE), "square endpoints do not match"),
+    "bottom-endpoints": (_square(ONE, ONE, ONE, DISCRETE_2), "square endpoints do not match"),
+    "right-leg-not-a-covering": (
+        _square(
+            identity_morphism(CODISCRETE), to_point(CODISCRETE),
+            identity_morphism(CODISCRETE), to_point(CODISCRETE),
+        ),
+        "right leg is not a covering",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REJECTIONS)
+def test_rejections_name_their_reason(case):
+    build, message = REJECTIONS[case]
+    sts.assert_rejects(build, ValueError, message)

@@ -44,11 +44,7 @@ from preord.relations import (
     row_classes,
 )
 from preord.suites import _relation_predicates
-
-
-def to_point(p):
-    point = FinPreorder.discrete(1)
-    return PreordMorphism(p, point, SetMap(p.carrier, point.carrier, (0,) * p.size))
+from strategies import to_point
 
 
 # -- 1. reflection that skips the symmetric-core quotient --------------------

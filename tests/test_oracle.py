@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 import strategies as sts
+from strategies import to_point
 from preord.factorization import monotone_light_factorization
 from preord.oracle import (
     EnumerationCapError,
@@ -29,7 +30,6 @@ from preord.relations import (
     FinPreorder,
     PreordMorphism,
     Relation,
-    SetMap,
     compose_relations,
     identity_morphism,
     preord_pullback,
@@ -44,11 +44,6 @@ EXPECTED_COUNTS = {
     3: (29, 19, 5),
     4: (355, 219, 15),
 }
-
-
-def to_point(p):
-    point = FinPreorder.discrete(1)
-    return PreordMorphism(p, point, SetMap(p.carrier, point.carrier, (0,) * p.size))
 
 
 class TestEnumeration:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 import strategies as sts
+from strategies import running_example, to_point
 from preord import relations
 from preord.oracle import (
     enumerate_morphisms,
@@ -18,6 +19,7 @@ from preord.oracle import (
 )
 from preord.pretorsion import (
     Decomposition,
+    NExactSequence,
     canonical_sequence,
     decompose,
     generators,
@@ -35,6 +37,7 @@ from preord.relations import (
     SetMap,
     PreordMorphism,
     compose_morphisms,
+    identity_map,
     identity_morphism,
     inverse_image,
     is_isomorphism,
@@ -43,15 +46,6 @@ from preord.relations import (
     reflexive_transitive_closure,
 )
 from preord.suites import _relation_predicates, check_reflection_parts, check_trivial_homs
-
-
-def running_example():
-    return FinPreorder.from_edges(3, [(0, 1), (1, 0), (1, 2)])
-
-
-def to_point(p):
-    point = FinPreorder.discrete(1)
-    return PreordMorphism(p, point, SetMap(p.carrier, point.carrier, (0,) * p.size))
 
 
 class TestSymCore:
@@ -336,3 +330,49 @@ class TestHomTriviality:
 
     def test_discrete_source(self):
         assert check_trivial_homs(FinPreorder.discrete(3), FinPreorder.chain(3)) is None
+
+
+D1, D2 = FinPreorder.discrete(1), FinPreorder.discrete(2)
+INTO = SetMap(D1.carrier, D2.carrier, (0,))  # not onto
+
+
+def _identities(torsion: FinPreorder, free: FinPreorder):
+    return lambda: NExactSequence(identity_morphism(torsion), identity_morphism(free), ())
+
+
+# each refusal of ``NExactSequence`` and ``Decomposition``, with its message;
+# the sequence's last check, that the composite lies in N, has no case: a
+# monotone map from an equivalence into a partial order is constant on classes
+REJECTIONS = {
+    "sequence-legs": (_identities(D1, D2), "sequence legs are not composable"),
+    "torsion-source": (
+        _identities(FinPreorder.chain(2), FinPreorder.chain(2)),
+        "torsion part source must be an equivalence relation",
+    ),
+    "free-target": (
+        _identities(FinPreorder.codiscrete(2), FinPreorder.codiscrete(2)),
+        "free part target must be a partial order",
+    ),
+    "free-not-surjective": (
+        lambda: NExactSequence(identity_morphism(D1), PreordMorphism(D1, D2, INTO), ()),
+        "free part must be surjective",
+    ),
+    "class-map-domain": (
+        lambda: Decomposition(D2.rel, D1, identity_map(D1.carrier)), "class map does not live on the carrier",
+    ),
+    "class-map-codomain": (
+        lambda: Decomposition(D1.rel, D2, identity_map(D1.carrier)),
+        "class map does not target the quotient carrier",
+    ),
+    "class-map-not-surjective": (lambda: Decomposition(D1.rel, D2, INTO), "class map must be surjective"),
+    "class-map-kernel": (
+        lambda: Decomposition(FinPreorder.codiscrete(2).rel, D2, identity_map(D2.carrier)),
+        "class map does not induce the stated equivalence",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REJECTIONS)
+def test_rejections_name_their_reason(case):
+    build, message = REJECTIONS[case]
+    sts.assert_rejects(build, ValueError, message)

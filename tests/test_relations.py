@@ -9,6 +9,7 @@ from hypothesis import assume, given
 from hypothesis.errors import InvalidArgument
 
 import strategies as sts
+from strategies import to_point
 from preord.alexandroff import AlexandroffSpace, ContinuousMap, preorder_to_space
 from preord.oracle import (
     closure_slow,
@@ -36,6 +37,7 @@ from preord.relations import (
     Relation,
     SetMap,
     compose_maps,
+    compose_morphisms,
     compose_relations,
     direct_image,
     graph_relation,
@@ -319,14 +321,6 @@ class TestMorphisms:
         assert is_isomorphism(identity_morphism(chain))
 
 
-def _point():
-    return FinPreorder.discrete(1)
-
-
-def _to_point(p):
-    return PreordMorphism(p, _point(), SetMap(p.carrier, _point().carrier, (0,) * p.size))
-
-
 class TestPullback:
     def test_along_identity_is_isomorphic_copy(self):
         chain = FinPreorder.chain(3)
@@ -338,7 +332,7 @@ class TestPullback:
     def test_product_over_point(self):
         chain = FinPreorder.chain(2)
         codisc = FinPreorder.codiscrete(2)
-        pb = preord_pullback(_to_point(chain), _to_point(codisc))
+        pb = preord_pullback(to_point(chain), to_point(codisc))
         assert pb.object.size == 4
         assert pb.object.rel.count() == 12
         carrier = pb.object.carrier
@@ -349,12 +343,12 @@ class TestPullback:
     def test_codomain_mismatch(self):
         chain = FinPreorder.chain(2)
         with pytest.raises(ValueError, match="codomain mismatch"):
-            preord_pullback(_to_point(chain), identity_morphism(chain))
+            preord_pullback(to_point(chain), identity_morphism(chain))
 
     def test_projections_commute(self):
         chain = FinPreorder.chain(2)
         codisc = FinPreorder.codiscrete(3)
-        f, g = _to_point(chain), _to_point(codisc)
+        f, g = to_point(chain), to_point(codisc)
         pb = preord_pullback(f, g)
         for k in range(pb.object.size):
             assert f(pb.p1(k)) == g(pb.p2(k))
@@ -441,7 +435,7 @@ class TestPullbackSquare:
 
     def test_kernel_pair_square(self):
         codisc = FinPreorder.codiscrete(2)
-        f = _to_point(codisc)
+        f = to_point(codisc)
         pb = preord_pullback(f, f)
         assert is_pullback_square(top=pb.p2, left=pb.p1, right=f, bottom=f)
 
@@ -806,3 +800,89 @@ class TestMonotoneMapStrategy:
     def test_nonempty_source_into_empty_target_is_rejected(self, data):
         with pytest.raises(InvalidArgument):
             data.draw(sts.monotone_maps(src=FinPreorder.chain(2), dst=FinPreorder.discrete(0)))
+
+
+LABELLED_2, LABELLED_3 = FinSet(2, ("a", "b")), FinSet(3, ("a", "b", "c"))
+
+# each refusal of a public constructor or function, with its exception and
+# message; points of a labelled carrier are named by their labels
+REJECTIONS = {
+    "negative-carrier": (lambda: FinSet(-1), ValueError, "carrier size must be nonnegative"),
+    "label-out-of-range": (lambda: TWO.label(2), IndexError, "element 2 out of range 0..1"),
+    "row-count": (lambda: Relation(TWO, TWO, (1,)), ValueError, "expected 2 rows, got 1"),
+    "row-too-wide": (
+        lambda: Relation(FinSet(1), TWO, (4,)), ValueError, "row 0 does not fit a 2-column relation",
+    ),
+    "pair-out-of-range": (
+        lambda: Relation.from_pairs(TWO, TWO, [(0, 2)]), ValueError, "pair (0, 2) out of range",
+    ),
+    "closure-of-a-non-endorelation": (
+        lambda: reflexive_transitive_closure(Relation(FinSet(1), TWO, (1,))),
+        ValueError, "carrier mismatch: expected an endorelation",
+    ),
+    "value-count": (lambda: SetMap(TWO, FinSet(1), (0,)), ValueError, "expected 2 values, got 1"),
+    "value-out-of-range": (
+        lambda: SetMap(FinSet(1), FinSet(1), (1,)), ValueError, "image of element 0 out of range: 1",
+    ),
+    "maps-not-composable": (
+        lambda: compose_maps(identity_map(FinSet(1)), identity_map(TWO)),
+        ValueError, "carrier mismatch: maps are not composable",
+    ),
+    "direct-image-off-the-domain": (
+        lambda: direct_image(identity_map(FinSet(1)), Relation.diagonal(TWO)),
+        ValueError, "carrier mismatch: relation does not live on the map's domain",
+    ),
+    "inverse-image-off-the-codomain": (
+        lambda: inverse_image(identity_map(FinSet(1)), Relation.diagonal(TWO)),
+        ValueError, "carrier mismatch: relation does not live on the map's codomain",
+    ),
+    "morphisms-not-composable": (
+        lambda: compose_morphisms(
+            identity_morphism(FinPreorder.chain(2)), identity_morphism(FinPreorder.discrete(1))
+        ),
+        ValueError, "morphisms are not composable",
+    ),
+    "relation-off-the-carrier": (
+        lambda: FinPreorder(TWO, Relation.diagonal(FinSet(1))),
+        ValueError, "relation does not live on the carrier",
+    ),
+    "not-reflexive-labelled": (
+        lambda: FinPreorder(LABELLED_2, Relation(LABELLED_2, LABELLED_2, (1, 0))),
+        ValueError, "not reflexive: (b, b) missing",
+    ),
+    "not-transitive-labelled": (
+        lambda: FinPreorder(LABELLED_3, Relation(LABELLED_3, LABELLED_3, (0b011, 0b110, 0b100))),
+        ValueError, "not transitive: (a, b) and (b, c) but not (a, c)",
+    ),
+    "morphism-endpoints": (
+        lambda: PreordMorphism(FinPreorder.discrete(2), FinPreorder.discrete(1), identity_map(TWO)),
+        ValueError, "underlying map does not match the endpoints",
+    ),
+    "not-monotone-labelled": (
+        lambda: PreordMorphism(
+            FinPreorder.chain(2, ("a", "b")),
+            FinPreorder.discrete(2, ("x", "y")),
+            SetMap(LABELLED_2, FinSet(2, ("x", "y")), (0, 1)),
+        ),
+        ValueError, "not monotone: (a, b) related but (x, y) is not",
+    ),
+    "square-top-and-left-sources": (
+        lambda: is_pullback_square(
+            identity_morphism(FinPreorder.chain(2)), identity_morphism(FinPreorder.discrete(1)),
+            identity_morphism(FinPreorder.chain(2)), identity_morphism(FinPreorder.chain(2)),
+        ),
+        ValueError, "square endpoints do not match",
+    ),
+    "square-left-and-bottom": (
+        lambda: is_pullback_square(
+            identity_morphism(FinPreorder.chain(2)), identity_morphism(FinPreorder.chain(2)),
+            identity_morphism(FinPreorder.chain(2)), identity_morphism(FinPreorder.discrete(1)),
+        ),
+        ValueError, "square endpoints do not match",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REJECTIONS)
+def test_rejections_name_their_reason(case):
+    sts.assert_rejects(*REJECTIONS[case])
