@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
+from .pretorsion import reflect
 from .relations import (
     FinPreorder,
     FinSet,
@@ -19,13 +20,11 @@ from .relations import (
     SetMap,
     _bits,
     _built,
-    _class_map,
     _fresh_carrier,
     _excess,
     _push,
     _walk,
     opposite,
-    row_classes,
 )
 
 __all__ = [
@@ -89,17 +88,28 @@ def preorder_to_space(p: FinPreorder) -> AlexandroffSpace:
     """Topologize a preorder: opens are the down-closed sets, so the minimal
     neighborhood of a point collects everything below it, its column of
     ``≤``.  Down-sets of a preorder are nested, so the space is built
-    unchecked."""
-    return _built(AlexandroffSpace, p.carrier, p.rel.columns())
+    unchecked, with ``p`` as the memo of ``space_to_preorder``."""
+    s = _built(AlexandroffSpace, p.carrier, p.rel.columns())
+    s.__dict__["_preorder"] = p
+    return s
 
 
 def space_to_preorder(s: AlexandroffSpace) -> FinPreorder:
     """The specialization preorder: ``x`` below ``y`` iff ``y`` lies in the
     closure of ``x``, i.e. ``x`` is in every neighborhood of ``y``.  Nested
     neighborhoods give a preorder, built unchecked, as is the relation of
-    the validated neighborhood rows it transposes."""
-    rel = opposite(_built(Relation, s.carrier, s.carrier, s.min_nbhd))
-    return _built(FinPreorder, s.carrier, rel)
+    the validated neighborhood rows it transposes.
+
+    Memoised on ``s``, outside its dataclass fields, as ``reflect`` is on a
+    preorder; ``preorder_to_space`` seeds the memo with the preorder it
+    topologized.  The memo points from the space to the preorder and
+    never back."""
+    memos = s.__dict__
+    p = memos.get("_preorder")
+    if p is None:
+        rel = opposite(_built(Relation, s.carrier, s.carrier, s.min_nbhd))
+        p = memos["_preorder"] = _built(FinPreorder, s.carrier, rel)
+    return p
 
 
 def min_open(s: AlexandroffSpace, x: int) -> frozenset[int]:
@@ -174,14 +184,13 @@ class T0Reflection(NamedTuple):
 def t0_reflection(s: AlexandroffSpace) -> T0Reflection:
     """Identify points with equal minimal neighborhoods (equivalently, equal
     closures); the quotient is the finest T0 image and the projection is
-    continuous.  The classes partition the points by construction, and any
-    member of a class may stand for it, as in ``relations.quotient``, so
-    the class map and both results are built unchecked.  The neighborhoods
-    are pushed forward as ``direct_image`` pushes rows."""
-    q = _class_map(s.carrier, row_classes(s.min_nbhd))
-    nbhds = _push(q, _walk(s.min_nbhd, [1 << v for v in q.values])[0])
-    quotient = _built(AlexandroffSpace, q.cod, nbhds)
-    return T0Reflection(quotient, _built(ContinuousMap, s, quotient, q))
+    continuous.  Under the dictionary this is the partial-order reflection
+    of the specialization preorder, so it is read off the memoised
+    ``reflect``: the quotient is the poset topologized, and the projection
+    the unit's class map, monotone and hence continuous, built unchecked."""
+    poset, unit = reflect(space_to_preorder(s))
+    quotient = preorder_to_space(poset)
+    return T0Reflection(quotient, _built(ContinuousMap, s, quotient, unit.map))
 
 
 def subspace(s: AlexandroffSpace, points: Iterable[int]) -> AlexandroffSpace:

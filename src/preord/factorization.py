@@ -347,29 +347,6 @@ class Cover(NamedTuple):
     projection: PreordMorphism
 
 
-def _cover_rows(poset: FinPreorder, sizes: list[int]) -> tuple[int, ...]:
-    """The rows of the ``3|B|`` total space over the classes of ``poset``,
-    of the given sizes: each class takes a contiguous run of ``3 * size``
-    indices, one run of ``size`` per level.  An element is below itself,
-    the higher levels of its class and everything over a strictly higher
-    class.  Only the rows outlive the call."""
-    starts = [0]
-    for size in sizes:
-        starts.append(starts[-1] + 3 * size)
-    class_mask = [
-        (1 << stop) - (1 << start) for start, stop in zip(starts, starts[1:])
-    ]
-    above = _or_rows(poset.rel, class_mask)
-    rows = []
-    for ci, size in enumerate(sizes):
-        strict = above[ci] & ~class_mask[ci]
-        for level in range(3):
-            first = starts[ci] + level * size
-            higher = strict | class_mask[ci] >> (first + size) << (first + size)
-            rows.extend(higher | 1 << k for k in range(first, first + size))
-    return tuple(rows)
-
-
 def effective_descent_cover(b: FinPreorder) -> Cover:
     """A partially ordered effective-descent surjection onto ``b``.
 
@@ -379,20 +356,42 @@ def effective_descent_cover(b: FinPreorder) -> Cover:
     by level.  Levels are serialized 1..3.  That order is a preorder sent
     monotonically onto ``b``, each point to the member it copies, so both
     are built unchecked, with their relation, map and carrier.
+
+    Each class of the reflection takes a contiguous run of ``3 * size``
+    indices, one run of ``size`` per level.  An element is below itself,
+    the higher levels of its class and everything over a strictly higher
+    class, so one pass over the classes builds the names, values and rows;
+    a class's levels are built top-down, each ORing in the levels above.
     """
     poset, unit = reflect(b)
     classes = [list(_bits(fibre)) for fibre in unit.map.preimage_masks()]
-    names = []
-    values: list[int] = []
+    class_mask = []
+    start = 0
     for cls in classes:
-        label = _class_label(b.carrier, cls)
-        members = [b.carrier.label(beta) for beta in cls]
-        for level in range(1, 4):
-            names.extend(f"({label},{level},{member})" for member in members)
-            values.extend(cls)
+        class_mask.append(((1 << 3 * len(cls)) - 1) << start)
+        start += 3 * len(cls)
+    above = _or_rows(poset.rel, class_mask)
+    names: list[str] = []
+    values: list[int] = []
+    rows = [0] * start
+    label = b.carrier.label
+    start = 0
+    for cls, mask, up in zip(classes, class_mask, above):
+        size = len(cls)
+        name = _class_label(b.carrier, cls)
+        members = [label(beta) for beta in cls]
+        for level in "123":
+            names += [f"({name},{level},{member})" for member in members]
+            values += cls
+        # the class lies in its own up-set, so ``^`` leaves the strictly higher classes
+        higher = up ^ mask
+        level_mask = (1 << size) - 1
+        for first in (start + 2 * size, start + size, start):
+            rows[first : first + size] = [higher | 1 << k for k in range(first, first + size)]
+            higher |= level_mask << first
+        start += 3 * size
     carrier = _fresh_carrier(names)
-    rows = _cover_rows(poset, [len(cls) for cls in classes])
-    total = _built(FinPreorder, carrier, _built(Relation, carrier, carrier, rows))
+    total = _built(FinPreorder, carrier, _built(Relation, carrier, carrier, tuple(rows)))
     projection = _built(PreordMorphism, total, b, _built(SetMap, carrier, b.carrier, tuple(values)))
     return Cover(total, projection)
 

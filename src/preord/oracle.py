@@ -51,6 +51,7 @@ __all__ = [
     "transitive_by_pairs",
     "monotone_by_pairs",
     "reflect_by_quotient",
+    "t0_reflection_by_pairs",
     "enumerate_open_sets",
     "random_preorder",
     "random_monotone_map",
@@ -479,6 +480,42 @@ def reflect_by_quotient(p: FinPreorder):
             classes.append(members)
     unit = quotient(p, classes)
     return Reflection(unit.dst, unit)
+
+
+def t0_reflection_by_pairs(space):
+    """Definitional T0 reflection: ``x ~ y`` iff each lies in the other's
+    minimal neighborhood, found pair by pair, with classes labelled
+    ``{a,b}`` by their members unless two labels collide; the neighborhood
+    of a class holds every class with a member in the neighborhood of one
+    of its members, again found pair by pair.  Built through the public
+    constructors.  Cross-checks ``alexandroff.t0_reflection``, which reads
+    the order reflection of the specialization preorder."""
+    from .alexandroff import AlexandroffSpace, ContinuousMap, T0Reflection
+
+    n, nbhd = space.size, space.min_nbhd
+    classes = []
+    values = [0] * n
+    placed = [False] * n
+    for x in range(n):
+        if not placed[x]:
+            members = [y for y in range(x, n) if nbhd[x] >> y & 1 and nbhd[y] >> x & 1]
+            for y in members:
+                placed[y] = True
+                values[y] = len(classes)
+            classes.append(members)
+    labels = ["{" + ",".join(map(space.carrier.label, cls)) + "}" for cls in classes]
+    carrier = FinSet(len(classes), labels if len(set(labels)) == len(labels) else None)
+    nbhds = [
+        sum(
+            1 << d
+            for d, other in enumerate(classes)
+            if any(nbhd[x] >> y & 1 for x in cls for y in other)
+        )
+        for cls in classes
+    ]
+    quotient = AlexandroffSpace(carrier, nbhds)
+    projection = ContinuousMap(space, quotient, SetMap(space.carrier, carrier, values))
+    return T0Reflection(quotient, projection)
 
 
 def enumerate_open_sets(space) -> list[int]:

@@ -21,9 +21,10 @@ suites re-check them, each record through its public constructor.
 Values derived from one value are computed once and memoised on it, outside
 its dataclass fields, so equality, hashing and ``repr`` are unchanged: a
 relation's walk and its columns, the fibres of a map, the pulled-back
-target order of a morphism, and in ``pretorsion`` the symmetric core of a
+target order of a morphism, in ``pretorsion`` the symmetric core of a
 relation, the reflection of a preorder and the reflected map of a
-morphism.  No memo reaches back to its owner, so a value is freed with its
+morphism, and in ``alexandroff`` the specialization preorder of a space.
+No memo reaches back to its owner, so a value is freed with its
 last reference.
 """
 

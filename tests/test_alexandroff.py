@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 
 import strategies as sts
+from preord import alexandroff
 from preord.alexandroff import (
     AlexandroffSpace,
     ContinuousMap,
@@ -15,9 +16,15 @@ from preord.alexandroff import (
     subspace,
     t0_reflection,
 )
+from preord.docio import Document, dumps, loads
 from preord.oracle import enumerate_open_sets, enumerate_preorders
 from preord.pretorsion import reflect
-from preord.relations import FinPreorder, FinSet, SetMap, _bits, identity_map
+from preord.relations import FinPreorder, FinSet, SetMap, _bits, identity_map, opposite
+
+
+def memo_free(space):
+    """``space`` rebuilt through the public constructor, with no memo."""
+    return AlexandroffSpace(space.carrier, space.min_nbhd)
 
 
 def sierpinski():
@@ -44,8 +51,30 @@ class TestTranslation:
     @given(sts.preorders(max_size=40))
     def test_round_trips(self, p):
         space = preorder_to_space(p)
-        assert space_to_preorder(space) == p
-        assert preorder_to_space(space_to_preorder(space)) == space
+        for s in (space, memo_free(space)):
+            assert space_to_preorder(s) == p
+            assert preorder_to_space(space_to_preorder(s)) == space
+
+    @given(sts.preorders(max_size=12))
+    def test_a_topologized_preorder_is_its_own_specialization_preorder(self, p):
+        assert space_to_preorder(preorder_to_space(p)) is p
+
+    def test_a_loaded_space_computes_its_preorder_once(self, monkeypatch):
+        doc = Document()
+        doc.add_space("S", preorder_to_space(FinPreorder.from_edges(4, [(0, 1), (1, 0), (1, 2)])))
+        space = loads(dumps(doc)).spaces["S"]
+        calls = []
+
+        def counted(r):
+            calls.append(r)
+            return opposite(r)
+
+        monkeypatch.setattr(alexandroff, "opposite", counted)
+        first = space_to_preorder(space)
+        assert space_to_preorder(space) is first
+        t0_reflection(space)
+        assert len(calls) == 1
+        assert first == FinPreorder.from_edges(4, [(0, 1), (1, 0), (1, 2)])
 
 
 class TestPointSets:
@@ -118,11 +147,12 @@ class TestT0Reflection:
 
     @given(sts.preorders(max_size=12))
     def test_agrees_with_order_reflection(self, p):
-        space = preorder_to_space(p)
-        reflected, projection = t0_reflection(space)
         poset, unit = reflect(p)
-        assert reflected == preorder_to_space(poset)
-        assert projection.map == unit.map
+        space = preorder_to_space(p)
+        for s in (space, memo_free(space)):
+            reflected, projection = t0_reflection(s)
+            assert reflected == preorder_to_space(poset)
+            assert projection.map == unit.map
 
 
 class TestSubspace:

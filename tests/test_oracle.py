@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 import strategies as sts
 from strategies import to_point
+from preord.alexandroff import AlexandroffSpace, preorder_to_space, t0_reflection
 from preord.factorization import monotone_light_factorization
 from preord.oracle import (
     EnumerationCapError,
@@ -20,6 +21,7 @@ from preord.oracle import (
     random_morphism,
     random_preorder,
     reflect_by_quotient,
+    t0_reflection_by_pairs,
     universal_n_cokernel,
     universal_n_kernel,
     universal_orthogonality,
@@ -28,6 +30,7 @@ from preord.oracle import (
 from preord.pretorsion import canonical_sequence, in_ideal_N, n_kernel, reflect
 from preord.relations import (
     FinPreorder,
+    FinSet,
     PreordMorphism,
     Relation,
     compose_relations,
@@ -154,6 +157,28 @@ class TestSlowAgreements:
         slow = reflect_by_quotient(p)
         assert fast.poset == slow.poset
         assert fast.unit.map == slow.unit.map
+
+    @given(sts.preorders(max_size=8))
+    def test_t0_reflection_agreement(self, p):
+        space = preorder_to_space(p)
+        # rebuilt with no memo, so the specialization preorder is computed
+        space = AlexandroffSpace(space.carrier, space.min_nbhd)
+        assert t0_reflection(space) == t0_reflection_by_pairs(space)
+
+
+class TestSlowInputChecks:
+    """The slow counterparts reject a mismatched input as the fast ones do."""
+
+    @pytest.mark.parametrize("compose", [compose_relations_slow, compose_relations])
+    def test_composition_needs_a_common_middle_carrier(self, compose):
+        r = Relation.empty(FinSet(2), FinSet(3))
+        with pytest.raises(ValueError, match="carrier mismatch: middle carriers differ"):
+            compose(r, r)
+
+    @pytest.mark.parametrize("close", [closure_slow, reflexive_transitive_closure])
+    def test_closure_needs_an_endorelation(self, close):
+        with pytest.raises(ValueError, match="carrier mismatch: expected an endorelation"):
+            close(Relation.empty(FinSet(2), FinSet(3)))
 
 
 class TestRandomGenerators:
