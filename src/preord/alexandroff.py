@@ -22,6 +22,7 @@ from .relations import (
     _built,
     _fresh_carrier,
     _excess,
+    _memoised,
     _push,
     _walk,
     opposite,
@@ -90,26 +91,19 @@ def preorder_to_space(p: FinPreorder) -> AlexandroffSpace:
     ``≤``.  Down-sets of a preorder are nested, so the space is built
     unchecked, with ``p`` as the memo of ``space_to_preorder``."""
     s = _built(AlexandroffSpace, p.carrier, p.rel.columns())
-    s.__dict__["_preorder"] = p
+    s.__dict__["_space_to_preorder"] = p  # the key of ``space_to_preorder``'s memo
     return s
 
 
+@_memoised
 def space_to_preorder(s: AlexandroffSpace) -> FinPreorder:
     """The specialization preorder: ``x`` below ``y`` iff ``y`` lies in the
     closure of ``x``, i.e. ``x`` is in every neighborhood of ``y``.  Nested
     neighborhoods give a preorder, built unchecked, as is the relation of
-    the validated neighborhood rows it transposes.
-
-    Memoised on ``s``, outside its dataclass fields, as ``reflect`` is on a
-    preorder; ``preorder_to_space`` seeds the memo with the preorder it
-    topologized.  The memo points from the space to the preorder and
-    never back."""
-    memos = s.__dict__
-    p = memos.get("_preorder")
-    if p is None:
-        rel = opposite(_built(Relation, s.carrier, s.carrier, s.min_nbhd))
-        p = memos["_preorder"] = _built(FinPreorder, s.carrier, rel)
-    return p
+    the validated neighborhood rows it transposes.  Memoised on ``s``,
+    and seeded by ``preorder_to_space`` with the preorder it topologized."""
+    rel = opposite(_built(Relation, s.carrier, s.carrier, s.min_nbhd))
+    return _built(FinPreorder, s.carrier, rel)
 
 
 def min_open(s: AlexandroffSpace, x: int) -> frozenset[int]:

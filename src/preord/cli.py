@@ -282,9 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("topology", help="translate to or from Alexandroff spaces")
     add_common(sp)
-    direction = sp.add_mutually_exclusive_group()
-    direction.add_argument("--to-space", action="store_true", default=False)
-    direction.add_argument("--from-space", action="store_true", default=False)
+    sp.add_argument("--from-space", action="store_true", default=False)
     sp.add_argument("--check", choices=("t0", "partition"),
                     help="evaluate a predicate instead of translating")
     sp.set_defaults(func=cmd_topology)

@@ -107,12 +107,16 @@ def is_in_E(f: PreordMorphism) -> bool:
 
 
 def _in_M_counterexample(f: PreordMorphism) -> tuple[int, int] | None:
-    sim_src = sym_core(f.src)
-    sim_dst = sym_core(f.dst)
+    """The first ``(a, b)`` with ``b ~ f(a)`` over which the class ``C`` of
+    ``a`` does not have exactly one point, or ``None``.  ``f`` sends ``C``
+    into one core class, so the test runs once per class, at its least
+    member, in least-member order."""
+    core_dst = sym_core(f.dst).rows
     pre = f.map.preimage_masks()
-    for a in range(f.src.size):
-        for b in _bits(sim_dst.rows[f(a)]):
-            if (sim_src.rows[a] & pre[b]).bit_count() != 1:
+    for cls in dict.fromkeys(sym_core(f.src).rows):
+        a = (cls & -cls).bit_length() - 1
+        for b in _bits(core_dst[f(a)]):
+            if (cls & pre[b]).bit_count() != 1:
                 return (a, b)
     return None
 

@@ -45,6 +45,7 @@ __all__ = [
     "transpose_by_bits",
     "or_cols_by_bits",
     "effective_descent_by_chains",
+    "trivial_covering_by_pairs",
     "generators_by_pairs",
     "dumps_by_pairs",
     "closure_slow",
@@ -425,6 +426,21 @@ def effective_descent_by_chains(f: PreordMorphism) -> tuple[int, int, int] | Non
                     for e3 in range(p.size)
                 ):
                     return (b1, b2, b3)
+    return None
+
+
+def trivial_covering_by_pairs(f: PreordMorphism) -> tuple[int, int] | None:
+    """The first ``(a, b)``, by ``a`` then ``b``, with ``b ~ f(a)`` such that
+    not exactly one ``a' ~ a`` has ``f(a') = b``, or ``None``: the points
+    counted pair by pair through ``leq`` both ways.  The slow counterpart
+    of ``factorization.is_in_M``."""
+    p, q = f.src, f.dst
+    for a in range(p.size):
+        for b in range(q.size):
+            if q.leq(b, f(a)) and q.leq(f(a), b):
+                lifts = [x for x in range(p.size) if f(x) == b and p.leq(a, x) and p.leq(x, a)]
+                if len(lifts) != 1:
+                    return (a, b)
     return None
 
 

@@ -20,6 +20,7 @@ from .relations import (
     _built,
     _excess,
     _fresh_carrier,
+    _memoised,
     _quotient,
     _row_owners,
     _walk,
@@ -54,17 +55,16 @@ def sym_core(p: FinPreorder) -> Relation:
     in ``reflect``: row ``a`` is the mask of the elements sharing its row,
     so it is built unchecked.
 
-    Memoised on the relation ``p.rel``, outside its dataclass fields, so the
-    copies ``reflect`` makes share it.  The core is always a new relation,
-    never ``p.rel`` itself, so the memo does not reach back to its owner.
+    Memoised on the relation ``p.rel``, so the copies ``reflect`` makes
+    share it; the core is always a new relation, never ``p.rel`` itself.
     """
-    rel = p.rel
-    core = rel.__dict__.get("_sym_core")
-    if core is None:
-        owners = _row_owners(rel.rows)
-        core = _built(Relation, rel.src, rel.src, tuple(owners[row] for row in rel.rows))
-        object.__setattr__(rel, "_sym_core", core)
-    return core
+    return _sym_core(p.rel)
+
+
+@_memoised
+def _sym_core(rel: Relation) -> Relation:
+    owners = _row_owners(rel.rows)
+    return _built(Relation, rel.src, rel.src, tuple(owners[row] for row in rel.rows))
 
 
 def generators(p: FinPreorder) -> Relation:
@@ -106,6 +106,7 @@ class Reflection(NamedTuple):
     unit: PreordMorphism
 
 
+@_memoised
 def reflect(p: FinPreorder) -> Reflection:
     """Quotient by mutual reachability, yielding the partial-order reflection.
 
@@ -117,42 +118,32 @@ def reflect(p: FinPreorder) -> Reflection:
     member.  The classes partition ``p`` into equal rows by construction,
     so the quotient is built unchecked.
 
-    The result is memoised on ``p`` itself, outside its dataclass fields, so
-    it lives exactly as long as ``p`` and never affects equality or hashing.
-    The unit starts at an equal copy of ``p`` sharing its relation, not at
-    ``p``: a memo reaching back to ``p`` would be a reference cycle, and ``p``
-    would outlive its last reference until the next garbage collection.  The
-    copy holds the fields of the preorder ``p``, so it is built unchecked.
+    Memoised on ``p``.  The unit starts at an equal copy of ``p`` sharing
+    its relation, not at ``p``: a memo reaching back to ``p`` would be a
+    reference cycle, and ``p`` would outlive its last reference until the
+    next garbage collection.  The copy holds the fields of the preorder
+    ``p``, so it is built unchecked.
     """
-    memo = p.__dict__.get("_reflection")
-    if memo is None:
-        copy = _built(FinPreorder, p.carrier, p.rel)
-        unit = _quotient(copy, row_classes(p.rel.rows))
-        memo = Reflection(unit.dst, unit)
-        object.__setattr__(p, "_reflection", memo)
-    return memo
+    copy = _built(FinPreorder, p.carrier, p.rel)
+    unit = _quotient(copy, row_classes(p.rel.rows))
+    return Reflection(unit.dst, unit)
 
 
+@_memoised
 def reflect_morphism(f: PreordMorphism) -> PreordMorphism:
     """The induced map between the partial-order reflections of the
     endpoints, monotone since ``[a] ≤ [b]`` iff ``a ≤ b``; it and its map,
     whose values are class indices of the target, are built unchecked.
-
-    Memoised on ``f``, outside its dataclass fields.  The induced map runs
-    between the two reflections, which never reach back to ``f``.
-    """
-    induced = f.__dict__.get("_reflected")
-    if induced is None:
-        src_poset, src_unit = reflect(f.src)
-        dst_poset, dst_unit = reflect(f.dst)
-        dst_class = dst_unit.map.values
-        values = [0] * src_poset.size
-        for c, v in zip(src_unit.map.values, f.map.values):
-            values[c] = dst_class[v]
-        mapping = _built(SetMap, src_poset.carrier, dst_poset.carrier, tuple(values))
-        induced = _built(PreordMorphism, src_poset, dst_poset, mapping)
-        object.__setattr__(f, "_reflected", induced)
-    return induced
+    Memoised on ``f``: it runs between the two reflections, never back to
+    ``f``."""
+    src_poset, src_unit = reflect(f.src)
+    dst_poset, dst_unit = reflect(f.dst)
+    dst_class = dst_unit.map.values
+    values = [0] * src_poset.size
+    for c, v in zip(src_unit.map.values, f.map.values):
+        values[c] = dst_class[v]
+    mapping = _built(SetMap, src_poset.carrier, dst_poset.carrier, tuple(values))
+    return _built(PreordMorphism, src_poset, dst_poset, mapping)
 
 
 def in_ideal_N(f: PreordMorphism) -> bool:

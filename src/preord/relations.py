@@ -18,14 +18,8 @@ validated values (relations, maps, carriers, objects, morphisms and records)
 is made with ``_built``, unchecked, and its docstring says why it holds; the
 suites re-check them, each record through its public constructor.
 
-Values derived from one value are computed once and memoised on it, outside
-its dataclass fields, so equality, hashing and ``repr`` are unchanged: a
-relation's walk and its columns, the fibres of a map, the pulled-back
-target order of a morphism, in ``pretorsion`` the symmetric core of a
-relation, the reflection of a preorder and the reflected map of a
-morphism, and in ``alexandroff`` the specialization preorder of a space.
-No memo reaches back to its owner, so a value is freed with its
-last reference.
+Values derived from one value are computed once and memoised on it by
+``_memoised``; only a relation's walk is recorded by ``_or_rows`` itself.
 """
 
 from __future__ import annotations
@@ -153,7 +147,7 @@ def _or_rows(rel: Relation, table: Sequence[int]) -> tuple[int, ...]:
     and the order checks.
 
     The first call walks the rows and memoises the record on ``rel``,
-    outside its dataclass fields, as ``Relation.columns`` is: the list
+    outside its dataclass fields, as ``_memoised`` does: the list
     ``ids`` that ``_walk`` built and its ``steps`` packed four bytes each.
     Later calls replay it against their own table with no bit arithmetic
     on the rows: ``vals`` is ``0`` and then the table, so a number indexes
@@ -240,6 +234,27 @@ def _built(cls, *values):
     obj = object.__new__(cls)
     obj.__dict__.update(zip(cls.__dataclass_fields__, values))
     return obj
+
+
+def _memoised(compute):
+    """``compute`` answering each owner once: the first call keeps its
+    result, never ``None``, on the owner as ``_<name>``, outside the
+    dataclass fields and never under a method's own name, which it would
+    shadow.  Equality, hashing and ``repr`` are unchanged; no memo refers
+    back to its owner, so an owner dies with its last reference; and no
+    ``__wrapped__`` reaches past the memo."""
+    key = "_" + compute.__name__
+
+    def memo(owner):
+        memos = owner.__dict__
+        value = memos.get(key)
+        if value is None:
+            value = memos[key] = compute(owner)
+        return value
+
+    memo.__module__, memo.__name__ = compute.__module__, compute.__name__
+    memo.__qualname__, memo.__doc__ = compute.__qualname__, compute.__doc__
+    return memo
 
 
 def _class_label(carrier: FinSet, members: Iterable[int]) -> str:
@@ -344,20 +359,12 @@ class Relation:
     def count(self) -> int:
         return sum(row.bit_count() for row in self.rows)
 
+    @_memoised
     def columns(self) -> tuple[int, ...]:
         """Bit columns: bit ``i`` of ``columns()[j]`` iff ``(i, j)`` related,
         the backward replay of the relation's walk weighing row ``i`` by
-        ``1 << i``.
-
-        Memoised on the instance, outside its dataclass fields, so equality,
-        hashing and ``repr`` are unchanged.
-        """
-        memos = self.__dict__
-        cols = memos.get("_columns")
-        if cols is None:
-            weights = map((1).__lshift__, range(self.src.size))
-            cols = memos["_columns"] = _or_cols(self, weights)
-        return cols
+        ``1 << i``; memoised."""
+        return _or_cols(self, map((1).__lshift__, range(self.src.size)))
 
     def is_endorelation(self) -> bool:
         return self.src == self.dst
@@ -425,17 +432,10 @@ class SetMap:
             acc |= 1 << v
         return acc
 
+    @_memoised
     def preimage_masks(self) -> tuple[int, ...]:
-        """For each codomain element, the bit mask of its fibre.
-
-        Memoised on the instance, outside its dataclass fields, as
-        ``Relation.columns`` is.
-        """
-        masks = self.__dict__.get("_fibres")
-        if masks is None:
-            masks = _fibres(self)
-            object.__setattr__(self, "_fibres", masks)
-        return masks
+        """For each codomain element, the bit mask of its fibre; memoised."""
+        return _fibres(self)
 
     def is_surjective(self) -> bool:
         return self.image_mask() == (1 << self.cod.size) - 1
@@ -737,15 +737,11 @@ class PreordMorphism:
         return self.map.is_injective()
 
 
+@_memoised
 def _pulled_back(f: PreordMorphism) -> tuple[int, ...]:
     """The rows of ``f*(≤_Q)``, which validation, fully-faithfulness and
-    ``is_isomorphism`` test ``≤_P`` against; memoised on ``f`` outside its
-    dataclass fields, as ``Relation.columns`` is."""
-    pulled = f.__dict__.get("_pulled_back")
-    if pulled is None:
-        pulled = _pull(f.map, f.dst.rel)
-        object.__setattr__(f, "_pulled_back", pulled)
-    return pulled
+    ``is_isomorphism`` test ``≤_P`` against; memoised."""
+    return _pull(f.map, f.dst.rel)
 
 
 def identity_morphism(p: FinPreorder) -> PreordMorphism:

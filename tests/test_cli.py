@@ -244,6 +244,13 @@ class TestTopology:
         assert "space P" in out
         assert "nbhd c a b c" in out
 
+    def test_to_space_flag_is_gone(self, running_file, capsys):
+        # the default direction; --from-space alone decides it
+        with pytest.raises(SystemExit) as err:
+            main(["topology", running_file, "--to-space"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --to-space" in capsys.readouterr().err
+
     def test_from_space_round_trip(self, running_file, tmp_path, capsys):
         main(["topology", running_file])
         space_text = capsys.readouterr().out

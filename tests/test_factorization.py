@@ -25,12 +25,14 @@ from preord.factorization import (
     reflective_factorization,
 )
 from preord import factorization, pretorsion, relations
+from preord.alexandroff import preorder_to_space, space_to_preorder, t0_reflection
 from preord.oracle import (
     effective_descent_by_chains,
     enumerate_morphisms,
     enumerate_preorders,
     random_preorder,
     reflect_by_quotient,
+    trivial_covering_by_pairs,
 )
 from preord.pretorsion import canonical_sequence, n_kernel, reflect, reflect_morphism, sym_core
 from preord.relations import (
@@ -68,6 +70,22 @@ def every_small_map():
     maps = [f for p in objects for q in objects for f in enumerate_morphisms(p, q)]
     assert len(maps) == 11_345
     return maps
+
+
+def in_M_disagreements(counterexample):
+    """How many of the maps on at most three points get a trivial-covering
+    witness from ``counterexample`` other than the oracle's."""
+    return sum(counterexample(f) != trivial_covering_by_pairs(f) for f in every_small_map())
+
+
+def in_M_counterexample_at_greatest_member(f):
+    """The trivial-covering witness moved to the greatest member of the
+    failing class: right flags, wrong witness."""
+    ce = factorization._in_M_counterexample(f)
+    if ce is None:
+        return None
+    a, b = ce
+    return (sym_core(f.src).rows[a].bit_length() - 1, b)
 
 
 class TestFullyFaithful:
@@ -124,12 +142,16 @@ class TestClassify:
         core = canonical_sequence(p).torsion_part.src
         sym_core(core)
         reflect_morphism(reflect(p).unit)
+        space = preorder_to_space(p)
+        t0 = t0_reflection(space)
+        assert space_to_preorder(t0.space) is reflect(p).poset  # seeded memos
         assert "_walk" in p.rel.__dict__ and "_walk" in q.rel.__dict__  # recorded walks
         refs = [weakref.ref(x) for x in (p, p.rel, q, q.rel, f, f.map, core, core.rel)]
+        refs += [weakref.ref(x) for x in (space, t0.space, t0.projection)]
         enabled = gc.isenabled()
         gc.disable()
         try:
-            del p, q, f, core
+            del p, q, f, core, space, t0
             assert [ref() for ref in refs] == [None] * len(refs)
         finally:
             if enabled:
@@ -177,6 +199,12 @@ class TestClassify:
                     first = effective_descent_by_chains(f)
                     assert classify(f).counterexamples.get("effective_descent") == first
         assert seen == 11345
+
+    def test_in_M_witness_is_the_first_failing_pair(self):
+        assert in_M_disagreements(factorization._in_M_counterexample) == 0
+
+    def test_in_M_comparison_catches_the_greatest_failing_member(self):
+        assert in_M_disagreements(in_M_counterexample_at_greatest_member) > 0
 
     def test_invariant_validation(self):
         with pytest.raises(ValueError, match="invariant"):

@@ -10,7 +10,12 @@ from hypothesis.errors import InvalidArgument
 
 import strategies as sts
 from strategies import to_point
-from preord.alexandroff import AlexandroffSpace, ContinuousMap, preorder_to_space
+from preord.alexandroff import (
+    AlexandroffSpace,
+    ContinuousMap,
+    preorder_to_space,
+    space_to_preorder,
+)
 from preord.oracle import (
     closure_slow,
     compose_relations_slow,
@@ -24,11 +29,13 @@ from preord.oracle import (
     transpose_by_bits,
     universal_pullback,
 )
+from preord.pretorsion import reflect, reflect_morphism, sym_core
 from preord.relations import (
     _built,
     _excess,
     _or_cols,
     _or_rows,
+    _pulled_back,
     _scc_classes,
     _walk,
     FinPreorder,
@@ -505,6 +512,34 @@ class TestColumnsMemo:
         r, s = FinPreorder.chain(3).rel, FinPreorder.chain(3).rel
         r.columns()
         assert r == s and hash(r) == hash(s) and repr(r) == repr(s)
+
+
+def _memo_map():
+    chain = FinPreorder.chain(2)
+    return PreordMorphism(FinPreorder.codiscrete(3), chain, SetMap(FinSet(3), chain.carrier, (1, 1, 1)))
+
+
+# Each memoised site: a maker of equal fresh owners, and the call that
+# reads the memo, through the attribute for a method, so that a memo
+# shadowing its method would fail the second call.
+MEMO_SITES = {
+    "Relation.columns": (lambda: FinPreorder.chain(3).rel, lambda r: r.columns()),
+    "SetMap.preimage_masks": (lambda: _memo_map().map, lambda m: m.preimage_masks()),
+    "_pulled_back": (_memo_map, _pulled_back),
+    "sym_core": (lambda: FinPreorder.codiscrete(2), sym_core),
+    "reflect": (lambda: FinPreorder.codiscrete(2), reflect),
+    "reflect_morphism": (_memo_map, reflect_morphism),
+    "space_to_preorder": (lambda: AlexandroffSpace(FinSet(2), (0b01, 0b11)), space_to_preorder),
+}
+
+
+@pytest.mark.parametrize("make, call", MEMO_SITES.values(), ids=MEMO_SITES)
+def test_memo_rule(make, call):
+    owner, fresh = make(), make()
+    first = call(owner)
+    assert call(owner) is first  # and a memoised method is still callable
+    assert owner == fresh and hash(owner) == hash(fresh) and repr(owner) == repr(fresh)
+    assert call(fresh) == first
 
 
 class TestQuotient:
