@@ -22,6 +22,7 @@ from .relations import (
     _bits,
     _built,
     _class_label,
+    _core_classes,
     _excess,
     _fresh_carrier,
     _or_cols,
@@ -110,13 +111,16 @@ def _in_M_counterexample(f: PreordMorphism) -> tuple[int, int] | None:
     """The first ``(a, b)`` with ``b ~ f(a)`` over which the class ``C`` of
     ``a`` does not have exactly one point, or ``None``.  ``f`` sends ``C``
     into one core class, so the test runs once per class, at its least
-    member, in least-member order."""
+    member, in least-member order, counting the members over each image."""
     core_dst = sym_core(f.dst).rows
-    pre = f.map.preimage_masks()
-    for cls in dict.fromkeys(sym_core(f.src).rows):
-        a = (cls & -cls).bit_length() - 1
-        for b in _bits(core_dst[f(a)]):
-            if (cls & pre[b]).bit_count() != 1:
+    values = f.map.values
+    for cls in _core_classes(f.src.rel):
+        over: dict[int, int] = {}
+        for v in map(values.__getitem__, cls):
+            over[v] = over.get(v, 0) + 1
+        a = cls[0]
+        for b in _bits(core_dst[values[a]]):
+            if over.get(b) != 1:
                 return (a, b)
     return None
 
@@ -140,13 +144,17 @@ def is_in_E_bar(f: PreordMorphism) -> bool:
 
 
 def _fibre_poset_counterexample(f: PreordMorphism) -> tuple[int, int] | None:
-    sim = sym_core(f.src)
-    pre = f.map.preimage_masks()
-    for a in range(f.src.size):
-        others = sim.rows[a] & pre[f(a)] & ~(1 << a)
-        if others:
-            return (a, next(_bits(others)))
-    return None
+    """The least ``(a, a')`` with ``a ≠ a' ~ a`` and ``f(a) = f(a')``, or
+    ``None``; one scan of each core class, keyed by image."""
+    values = f.map.values
+    pairs = []
+    for cls in _core_classes(f.src.rel):
+        least: dict[int, int] = {}
+        for x in cls:
+            a = least.setdefault(values[x], x)
+            if a != x:
+                pairs.append((a, x))
+    return min(pairs, default=None)
 
 
 def is_in_M_star(f: PreordMorphism) -> bool:
@@ -367,8 +375,8 @@ def effective_descent_cover(b: FinPreorder) -> Cover:
     class, so one pass over the classes builds the names, values and rows;
     a class's levels are built top-down, each ORing in the levels above.
     """
-    poset, unit = reflect(b)
-    classes = [list(_bits(fibre)) for fibre in unit.map.preimage_masks()]
+    poset = reflect(b).poset
+    classes = _core_classes(b.rel)
     class_mask = []
     start = 0
     for cls in classes:

@@ -46,6 +46,7 @@ __all__ = [
     "or_cols_by_bits",
     "effective_descent_by_chains",
     "trivial_covering_by_pairs",
+    "fibre_poset_by_pairs",
     "generators_by_pairs",
     "dumps_by_pairs",
     "closure_slow",
@@ -441,6 +442,19 @@ def trivial_covering_by_pairs(f: PreordMorphism) -> tuple[int, int] | None:
                 lifts = [x for x in range(p.size) if f(x) == b and p.leq(a, x) and p.leq(x, a)]
                 if len(lifts) != 1:
                     return (a, b)
+    return None
+
+
+def fibre_poset_by_pairs(f: PreordMorphism) -> tuple[int, int] | None:
+    """The first ``(a, a')``, by ``a`` then ``a'``, with ``a ≠ a'``,
+    ``f(a) = f(a')`` and ``leq`` holding both ways, or ``None``: every pair
+    of source points tried.  The slow counterpart of
+    ``factorization.is_in_M_star``."""
+    p = f.src
+    for a in range(p.size):
+        for a2 in range(p.size):
+            if a != a2 and f(a) == f(a2) and p.leq(a, a2) and p.leq(a2, a):
+                return (a, a2)
     return None
 
 

@@ -18,17 +18,17 @@ from .relations import (
     SetMap,
     _bits,
     _built,
+    _core,
+    _core_classes,
     _excess,
     _fresh_carrier,
     _memoised,
     _quotient,
-    _row_owners,
     _walk,
     identity_map,
     inverse_image,
     kernel_pair,
     meet,
-    row_classes,
 )
 
 __all__ = [
@@ -51,20 +51,10 @@ __all__ = [
 
 
 def sym_core(p: FinPreorder) -> Relation:
-    """The largest equivalence relation inside ``p``, read off equal rows as
-    in ``reflect``: row ``a`` is the mask of the elements sharing its row,
-    so it is built unchecked.
-
-    Memoised on the relation ``p.rel``, so the copies ``reflect`` makes
-    share it; the core is always a new relation, never ``p.rel`` itself.
-    """
-    return _sym_core(p.rel)
-
-
-@_memoised
-def _sym_core(rel: Relation) -> Relation:
-    owners = _row_owners(rel.rows)
-    return _built(Relation, rel.src, rel.src, tuple(owners[row] for row in rel.rows))
+    """The largest equivalence relation inside ``p``, row ``a`` the mask of
+    the core class of ``a``: memoised, with its classes, on ``p.rel``, so
+    ``reflect``'s copies share it; always a new relation, never ``p.rel``."""
+    return _core(p.rel)
 
 
 def generators(p: FinPreorder) -> Relation:
@@ -74,29 +64,25 @@ def generators(p: FinPreorder) -> Relation:
     the least member of ``[c]`` to the least member of ``[d]`` for each
     covering pair ``[c] < [d]`` of the partial-order reflection.
 
-    The classes are read off equal rows, as in ``sym_core``, and the least
-    members stand for the reflection's points, so no quotient is built and
-    the edges come out at the indices of ``p``.  Row ``a`` of ``strict``
-    holds the least members strictly above ``a`` when ``a`` is a least
+    The classes are the memoised core classes, and their least members
+    stand for the reflection's points, so no quotient is built and the
+    edges come out at the indices of ``p``.  Row ``a`` of ``strict`` holds
+    the least members of higher classes above ``a`` when ``a`` is a least
     member and is empty otherwise; its composite with itself holds those
     with a least member strictly between, so ``strict & ~(strict∘strict)``
     are the covers.  Every edge joins two elements of ``p``, so the
     relation is built unchecked.
     """
     rows = p.rel.rows
-    owners = _row_owners(rows)
-    least = 0
-    for members in owners.values():
-        least |= members & -members
-    strict = [
-        row & least & ~owners[row] if least >> a & 1 else 0
-        for a, row in enumerate(rows)
-    ]
+    classes = _core_classes(p.rel)
+    least = sum(1 << cls[0] for cls in classes)
+    strict = [0] * p.size
+    for a in _bits(least):
+        strict[a] = rows[a] & least & ~(1 << a)
     edges = [s & ~between for s, between in zip(strict, _walk(strict, strict)[0])]
-    for members in owners.values():
-        if members & (members - 1):
-            cycle = list(_bits(members))
-            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+    for cls in classes:
+        if len(cls) > 1:
+            for a, b in zip(cls, cls[1:] + cls[:1]):
                 edges[a] |= 1 << b
     return _built(Relation, p.carrier, p.carrier, tuple(edges))
 
@@ -110,13 +96,9 @@ class Reflection(NamedTuple):
 def reflect(p: FinPreorder) -> Reflection:
     """Quotient by mutual reachability, yielding the partial-order reflection.
 
-    The classes are read off equal rows (``row_classes``): in a preorder
-    ``a`` and ``b`` are related both ways exactly when their up-sets are
-    equal.  If ``a ≤ b ≤ a``, transitivity makes each up-set contain the
-    other; if the up-sets are equal, reflexivity puts ``b`` in the up-set
-    of ``a`` and ``a`` in that of ``b``.  Class indices are ordered by least
-    member.  The classes partition ``p`` into equal rows by construction,
-    so the quotient is built unchecked.
+    The classes are the memoised core classes (``_core_classes``), class
+    indices ordered by least member.  They partition ``p`` into equal rows
+    by construction, so the quotient is built unchecked.
 
     Memoised on ``p``.  The unit starts at an equal copy of ``p`` sharing
     its relation, not at ``p``: a memo reaching back to ``p`` would be a
@@ -125,7 +107,7 @@ def reflect(p: FinPreorder) -> Reflection:
     ``p``, so it is built unchecked.
     """
     copy = _built(FinPreorder, p.carrier, p.rel)
-    unit = _quotient(copy, row_classes(p.rel.rows))
+    unit = _quotient(copy, _core_classes(p.rel))
     return Reflection(unit.dst, unit)
 
 
@@ -232,14 +214,12 @@ class NExactSequence:
 
 
 def canonical_sequence(p: FinPreorder) -> NExactSequence:
-    """Symmetric-core inclusion followed by the reflection unit.  The core
-    is an equivalence inside ``p`` and the unit a surjection onto a partial
-    order collapsing each core class, so all are built unchecked."""
+    """Symmetric-core inclusion, then the reflection unit, witnessed by its
+    fibres, the core classes.  The core is an equivalence inside ``p``, the
+    unit onto a partial order collapsing each class: all built unchecked."""
     core = _built(FinPreorder, p.carrier, sym_core(p))
     inclusion = _built(PreordMorphism, core, p, identity_map(p.carrier))
-    unit = reflect(p).unit
-    classes = tuple(tuple(_bits(fibre)) for fibre in unit.map.preimage_masks())
-    return _built(NExactSequence, inclusion, unit, classes)
+    return _built(NExactSequence, inclusion, reflect(p).unit, _core_classes(p.rel))
 
 
 @dataclass(frozen=True)

@@ -513,15 +513,6 @@ def kernel_pair(f: SetMap) -> Relation:
     return _built(Relation, f.dom, f.dom, tuple(map(pre.__getitem__, f.values)))
 
 
-def _row_owners(rows: Sequence[int]) -> dict[int, int]:
-    """Each distinct row, mapped to the mask of the indices that carry it,
-    in order of least index."""
-    owners: dict[int, int] = {}
-    for i, row in enumerate(rows):
-        owners[row] = owners.get(row, 0) | 1 << i
-    return owners
-
-
 def _excess(rows: Sequence[int], bound: Sequence[int]) -> tuple[int, int] | None:
     """The first ``(i, j)`` with bit ``j`` in ``rows[i]`` but not in
     ``bound[i]``, or ``None`` when every row lies inside its bound: the one
@@ -579,18 +570,14 @@ class FinPreorder:
         return self.rel.has(a, b)
 
     def is_partial_order(self) -> bool:
-        """Antisymmetry, read off equal rows: in a preorder ``a ≤ b ≤ a``
-        exactly when the up-sets of ``a`` and ``b`` are equal, so the order
-        is antisymmetric iff no two elements share a row."""
-        rows = self.rel.rows
-        return len(set(rows)) == len(rows)
+        """Antisymmetry: every core class is a single element."""
+        return len(_core_classes(self.rel)) == self.size
 
     def is_equivalence(self) -> bool:
-        """Symmetry, read off equal rows: a preorder is symmetric iff every
-        element of an up-set has that same up-set, that is, iff every row
-        is the mask of the elements carrying it (which it contains, by
-        reflexivity)."""
-        return all(row == own for row, own in _row_owners(self.rel.rows).items())
+        """Symmetry: every up-set, which holds the core class of its
+        elements, holds no more elements than that class."""
+        rows = self.rel.rows
+        return all(rows[cls[0]].bit_count() == len(cls) for cls in _core_classes(self.rel))
 
     def is_discrete(self) -> bool:
         return self.rel == Relation.diagonal(self.carrier)
@@ -837,10 +824,32 @@ def is_pullback_square(
 
 
 def row_classes(rows: Sequence[int]) -> list[list[int]]:
-    """Indices grouped by equal row, each class ascending and the classes
-    ordered by least member.  On an equivalence relation these are its
-    classes."""
-    return [list(_bits(own)) for own in _row_owners(rows).values()]
+    """Indices grouped by equal row, each row hashed once: classes ascending,
+    in order of least member.  On an equivalence these are its classes."""
+    groups: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        groups.setdefault(row, []).append(i)
+    return list(groups.values())
+
+
+@_memoised
+def _core_classes(rel: Relation) -> tuple[tuple[int, ...], ...]:
+    """``row_classes`` of ``rel`` as tuples, memoised: the one grouping of a
+    preorder's rows, into its core classes, as ``a ≤ b ≤ a`` exactly when
+    ``a`` and ``b`` have equal up-sets (by transitivity and reflexivity)."""
+    return tuple(map(tuple, row_classes(rel.rows)))
+
+
+@_memoised
+def _core(rel: Relation) -> Relation:
+    """On a preorder, its symmetric core: each row the mask of its class in
+    ``_core_classes``, with no row hashed again; built unchecked, memoised."""
+    rows = [0] * rel.src.size
+    for cls in _core_classes(rel):
+        mask = sum(map((1).__lshift__, cls))
+        for a in cls:
+            rows[a] = mask
+    return _built(Relation, rel.src, rel.src, tuple(rows))
 
 
 def _require_partition(n: int, classes: Sequence[Sequence[int]]) -> None:

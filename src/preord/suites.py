@@ -37,7 +37,6 @@ from .relations import (
     _or_rows,
     _preorder_failure,
     _pulled_back,
-    _row_owners,
     _walk,
     compose_morphisms,
     direct_image,
@@ -46,6 +45,7 @@ from .relations import (
     is_pullback_square,
     kernel_pair,
     preord_pullback,
+    row_classes,
 )
 
 __all__ = [
@@ -187,6 +187,9 @@ def check_canonical_sequence(p: FinPreorder) -> str | None:
         pre.NExactSequence(seq.torsion_part, seq.free_part, seq.witness)
     except ValueError as exc:
         return str(exc)
+    fibres = oracle.reflect_by_quotient(p).unit.map.preimage_masks()
+    if seq.witness != tuple(tuple(_bits(fibre)) for fibre in fibres):
+        return "witness classes disagree with the definitional quotient"
     ok, why = oracle.universal_n_kernel(seq.free_part, seq.torsion_part.src, seq.torsion_part)
     if not ok:
         return f"kernel universal property fails: {why}"
@@ -321,7 +324,7 @@ def _covering_kernel_is_reflected(f: PreordMorphism, m: PreordMorphism) -> bool:
     mid = m.src
     fibres = f.map.preimage_masks()
     kernel = [row & fibres[v] for row, v in zip(f.src.rel.rows, f.map.values)]
-    classes = [list(_bits(members)) for members in _row_owners(kernel).values()]
+    classes = row_classes(kernel)
     if _fresh_carrier([_class_label(f.src.carrier, cls) for cls in classes]) != mid.carrier:
         return False
     class_of = [0] * len(kernel)

@@ -24,17 +24,25 @@ from preord.factorization import (
     monotone_light_factorization,
     reflective_factorization,
 )
-from preord import factorization, pretorsion, relations
+from preord import factorization, relations
 from preord.alexandroff import preorder_to_space, space_to_preorder, t0_reflection
 from preord.oracle import (
     effective_descent_by_chains,
     enumerate_morphisms,
     enumerate_preorders,
+    fibre_poset_by_pairs,
     random_preorder,
     reflect_by_quotient,
     trivial_covering_by_pairs,
 )
-from preord.pretorsion import canonical_sequence, n_kernel, reflect, reflect_morphism, sym_core
+from preord.pretorsion import (
+    canonical_sequence,
+    generators,
+    n_kernel,
+    reflect,
+    reflect_morphism,
+    sym_core,
+)
 from preord.relations import (
     FinPreorder,
     FinSet,
@@ -88,6 +96,39 @@ def in_M_counterexample_at_greatest_member(f):
     return (sym_core(f.src).rows[a].bit_length() - 1, b)
 
 
+def in_M_star_disagreements(counterexample):
+    """How many of the maps on at most three points get a covering witness
+    from ``counterexample`` other than the oracle's."""
+    return sum(counterexample(f) != fibre_poset_by_pairs(f) for f in every_small_map())
+
+
+def block_maps(rng, count):
+    """Seeded maps into the three-point codiscrete order, from equivalences
+    of up to three blocks on at most ten points: a covering test can fail
+    in several classes, and at several members of one."""
+    dst = FinPreorder.codiscrete(3)
+    maps = []
+    for _ in range(count):
+        n = rng.randint(0, 10)
+        block = [rng.randrange(3) for _ in range(n)]
+        src = FinPreorder.from_edges(
+            n, [(a, b) for a in range(n) for b in range(n) if block[a] == block[b]]
+        )
+        maps.append(morph(src, dst, [rng.randrange(3) for _ in range(n)]))
+    return maps
+
+
+def fibre_poset_counterexample_at_greatest_member(f):
+    """The covering witness moved to the greatest member of its class over
+    its image, paired with the least: right flags, wrong witness."""
+    ce = factorization._fibre_poset_counterexample(f)
+    if ce is None:
+        return None
+    a, _ = ce
+    over = sym_core(f.src).rows[a] & f.map.preimage_masks()[f(a)]
+    return (over.bit_length() - 1, a)
+
+
 class TestFullyFaithful:
     def test_identity(self):
         assert is_fully_faithful(identity_morphism(FinPreorder.chain(2)))
@@ -116,19 +157,28 @@ class TestClassify:
         assert pulled == [unit.map, f.map]  # validation already pulled it back
 
     def test_fibres_and_cores_are_computed_once(self, monkeypatch):
-        # count real fibres and cores, below the memos on the map and relation
-        fibred, cored = [], []
-        fibres, owners = relations._fibres, pretorsion._row_owners
+        # count real fibres and groupings of rows, below the memos on the
+        # map and relation
+        fibred, grouped = [], []
+        fibres, row_classes = relations._fibres, relations.row_classes
         monkeypatch.setattr(relations, "_fibres", lambda m: fibred.append(m) or fibres(m))
-        monkeypatch.setattr(pretorsion, "_row_owners", lambda rows: cored.append(rows) or owners(rows))
+        monkeypatch.setattr(
+            relations, "row_classes", lambda rows: grouped.append(rows) or row_classes(rows)
+        )
         f = morph(running_example(), FinPreorder.chain(2), (0, 0, 1))
         for _ in range(2):
             classify(f)
             reflective_factorization(f)
             monotone_light_factorization(f)
-        assert sum(m is f.map for m in fibred) == 1  # in_M, in_M_star, descent, kernel pair
+            for p in (f.src, f.dst):
+                reflect(p)
+                sym_core(p)
+                canonical_sequence(p)
+                generators(p)
+        assert sum(m is f.map for m in fibred) == 1  # descent and the light factorization
         assert len({id(m) for m in fibred}) == len(fibred)
-        assert sorted(map(id, cored)) == sorted(map(id, (f.src.rel.rows, f.dst.rel.rows)))
+        # the core, the reflection, the generators and the class tests share one grouping
+        assert sorted(map(id, grouped)) == sorted(map(id, (f.src.rel.rows, f.dst.rel.rows)))
 
     def test_filled_memos_die_with_their_owners(self):
         # labels no other test uses, so no earlier equal object is involved
@@ -205,6 +255,18 @@ class TestClassify:
 
     def test_in_M_comparison_catches_the_greatest_failing_member(self):
         assert in_M_disagreements(in_M_counterexample_at_greatest_member) > 0
+
+    def test_in_M_star_witness_is_the_first_failing_pair(self):
+        assert in_M_star_disagreements(factorization._fibre_poset_counterexample) == 0
+
+    def test_in_M_star_comparison_catches_the_greatest_failing_member(self):
+        assert in_M_star_disagreements(fibre_poset_counterexample_at_greatest_member) > 0
+
+    def test_in_M_star_witness_is_the_least_failing_member_across_classes(self):
+        maps = block_maps(random.Random(0), 200)
+        witnesses = [factorization._fibre_poset_counterexample(f) for f in maps]
+        assert sum(ce is not None for ce in witnesses) > 50
+        assert witnesses == [fibre_poset_by_pairs(f) for f in maps]
 
     def test_invariant_validation(self):
         with pytest.raises(ValueError, match="invariant"):

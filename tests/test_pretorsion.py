@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 import strategies as sts
 from strategies import running_example, to_point
-from preord import relations
+from preord import pretorsion, relations
 from preord.oracle import (
     enumerate_morphisms,
     enumerate_preorders,
@@ -45,7 +45,12 @@ from preord.relations import (
     opposite,
     reflexive_transitive_closure,
 )
-from preord.suites import _relation_predicates, check_reflection_parts, check_trivial_homs
+from preord.suites import (
+    _relation_predicates,
+    check_canonical_sequence,
+    check_reflection_parts,
+    check_trivial_homs,
+)
 
 
 class TestSymCore:
@@ -278,6 +283,17 @@ class TestCanonicalSequence:
         assert ok, why
         ok, why = universal_n_cokernel(seq.torsion_part, seq.free_part)
         assert ok, why
+
+    def test_check_catches_swapped_witness_classes(self, monkeypatch):
+        # the printed classes, out of order: the legs are untouched
+        p = running_example()
+        assert check_canonical_sequence(p) is None
+        seq = canonical_sequence(p)
+        swapped = NExactSequence(seq.torsion_part, seq.free_part, seq.witness[::-1])
+        monkeypatch.setattr(pretorsion, "canonical_sequence", lambda q: swapped)
+        assert check_canonical_sequence(p) == (
+            "witness classes disagree with the definitional quotient"
+        )
 
 
 class TestDecomposition:

@@ -32,6 +32,7 @@ from preord.oracle import (
 from preord.pretorsion import reflect, reflect_morphism, sym_core
 from preord.relations import (
     _built,
+    _core_classes,
     _excess,
     _or_cols,
     _or_rows,
@@ -526,6 +527,7 @@ MEMO_SITES = {
     "Relation.columns": (lambda: FinPreorder.chain(3).rel, lambda r: r.columns()),
     "SetMap.preimage_masks": (lambda: _memo_map().map, lambda m: m.preimage_masks()),
     "_pulled_back": (_memo_map, _pulled_back),
+    "_core_classes": (lambda: FinPreorder.codiscrete(2).rel, _core_classes),
     "sym_core": (lambda: FinPreorder.codiscrete(2), sym_core),
     "reflect": (lambda: FinPreorder.codiscrete(2), reflect),
     "reflect_morphism": (_memo_map, reflect_morphism),
