@@ -370,10 +370,17 @@ def effective_descent_cover(b: FinPreorder) -> Cover:
     are built unchecked, with their relation, map and carrier.
 
     Each class of the reflection takes a contiguous run of ``3 * size``
-    indices, one run of ``size`` per level.  An element is below itself,
-    the higher levels of its class and everything over a strictly higher
-    class, so one pass over the classes builds the names, values and rows;
-    a class's levels are built top-down, each ORing in the levels above.
+    indices, one run of ``size`` per level, and one pass over the classes
+    appends the names, values and rows.  ``up``, the OR of the runs of the
+    classes over a class in the reflection, holds by antisymmetry the
+    class's own run and the runs of the strictly higher classes, nothing
+    else.  A point of level ``L`` is below itself, levels ``L+1..3`` of its
+    class and every strictly higher class, so its row is exactly ``up``
+    less levels ``1..L`` of its class, with its own bit ORed back in.  A
+    one-member class at index ``s`` is the chain of its three levels, one
+    point each, so no bit goes back: level 1's row is ``up`` itself, and
+    levels 2 and 3 drop bit ``s`` and bits ``s`` and ``s + 1``, the levels
+    below them.
     """
     poset = reflect(b).poset
     classes = _core_classes(b.rel)
@@ -383,25 +390,32 @@ def effective_descent_cover(b: FinPreorder) -> Cover:
         class_mask.append(((1 << 3 * len(cls)) - 1) << start)
         start += 3 * len(cls)
     above = _or_rows(poset.rel, class_mask)
+    labels = b.carrier.labels
+    spell = str if labels is None else labels.__getitem__
     names: list[str] = []
     values: list[int] = []
-    rows = [0] * start
-    label = b.carrier.label
+    rows: list[int] = []
     start = 0
-    for cls, mask, up in zip(classes, class_mask, above):
+    for cls, up in zip(classes, above):
+        if len(cls) == 1:
+            member = spell(cls[0])
+            prefix = f"({{{member}}},"  # the class label ``{member}`` spelled inline
+            names += (f"{prefix}1,{member})", f"{prefix}2,{member})", f"{prefix}3,{member})")
+            values += cls * 3
+            rows += (up, up ^ (1 << start), up ^ (3 << start))
+            start += 3
+            continue
         size = len(cls)
         name = _class_label(b.carrier, cls)
-        members = [label(beta) for beta in cls]
-        for level in "123":
-            names += [f"({name},{level},{member})" for member in members]
+        members = list(map(spell, cls))
+        level = ((1 << size) - 1) << start
+        for digit in "123":
+            names += [f"({name},{digit},{member})" for member in members]
             values += cls
-        # the class lies in its own up-set, so ``^`` leaves the strictly higher classes
-        higher = up ^ mask
-        level_mask = (1 << size) - 1
-        for first in (start + 2 * size, start + size, start):
-            rows[first : first + size] = [higher | 1 << k for k in range(first, first + size)]
-            higher |= level_mask << first
-        start += 3 * size
+            up ^= level
+            rows += [up | 1 << k for k in range(start, start + size)]
+            start += size
+            level <<= size
     carrier = _fresh_carrier(names)
     total = _built(FinPreorder, carrier, _built(Relation, carrier, carrier, tuple(rows)))
     projection = _built(PreordMorphism, total, b, _built(SetMap, carrier, b.carrier, tuple(values)))

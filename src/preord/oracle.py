@@ -47,6 +47,7 @@ __all__ = [
     "effective_descent_by_chains",
     "trivial_covering_by_pairs",
     "fibre_poset_by_pairs",
+    "cover_by_pairs",
     "generators_by_pairs",
     "dumps_by_pairs",
     "closure_slow",
@@ -458,6 +459,57 @@ def fibre_poset_by_pairs(f: PreordMorphism) -> tuple[int, int] | None:
     return None
 
 
+def _classes_by_pairs(p: FinPreorder) -> list[list[int]]:
+    """The classes of ``p`` in least-member order, members ascending: the
+    class of ``a`` collects every ``b`` with ``leq(a, b) and leq(b, a)``,
+    found pair by pair."""
+    classes = []
+    placed = [False] * p.size
+    for a in range(p.size):
+        if not placed[a]:
+            members = [b for b in range(a, p.size) if p.leq(a, b) and p.leq(b, a)]
+            for b in members:
+                placed[b] = True
+            classes.append(members)
+    return classes
+
+
+def cover_by_pairs(
+    b: FinPreorder,
+) -> tuple[tuple[str, ...] | None, tuple[int, ...], tuple[int, ...]]:
+    """The labels, rows and values of the ``3|B|`` total space over ``b``,
+    from its definition.  The classes of ``b`` are found pair by pair and
+    taken in least-member order, each spelling levels 1..3 of its members
+    in ascending order.  The point ``(c, L, m)`` is labelled ``({c},L,m)``,
+    where ``{c}`` joins the labels of the class's members with commas; the
+    labels are ``None`` when two collide or there are none, as ``FinSet``
+    keeps them.  ``(c, L, m) ≤ (c', L', m')`` iff ``[c] < [c']`` strictly
+    in ``b``, or ``c = c'`` and ``L < L'``, or the two are equal, decided
+    for every pair of points.  The value of ``(c, L, m)`` is ``m``.  The
+    slow counterpart of ``factorization.effective_descent_cover``."""
+    label, classes = b.carrier.label, _classes_by_pairs(b)
+    strictly_below = [
+        [b.leq(c[0], d[0]) and not b.leq(d[0], c[0]) for d in classes] for c in classes
+    ]
+    points = [
+        (c, level, m) for c, members in enumerate(classes) for level in (1, 2, 3) for m in members
+    ]
+    names = tuple(
+        "({" + ",".join(label(x) for x in classes[c]) + f"}},{level},{label(m)})"
+        for c, level, m in points
+    )
+    rows = tuple(
+        sum(
+            1 << j
+            for j, (c2, level2, m2) in enumerate(points)
+            if strictly_below[c][c2] or c == c2 and (level < level2 or (level, m) == (level2, m2))
+        )
+        for c, level, m in points
+    )
+    labels = names if names and len(set(names)) == len(names) else None
+    return labels, rows, tuple(m for _, _, m in points)
+
+
 def compose_relations_slow(r: Relation, s: Relation) -> Relation:
     """Triple-loop relational composition, for cross-checking the bit version."""
     if r.dst != s.src:
@@ -494,21 +546,12 @@ def closure_slow(r: Relation) -> FinPreorder:
 
 
 def reflect_by_quotient(p: FinPreorder):
-    """Definitional partial-order reflection: the class of ``a`` collects
-    every ``b`` with ``leq(a, b) and leq(b, a)``, found pair by pair; then
-    quotient and push the relation forward.  Cross-checks ``reflect``, which
-    reads its classes off equal rows."""
+    """Definitional partial-order reflection: the classes found pair by
+    pair, then quotient and push the relation forward.  Cross-checks
+    ``reflect``, which reads its classes off equal rows."""
     from .pretorsion import Reflection
 
-    classes = []
-    placed = [False] * p.size
-    for a in range(p.size):
-        if not placed[a]:
-            members = [b for b in range(a, p.size) if p.leq(a, b) and p.leq(b, a)]
-            for b in members:
-                placed[b] = True
-            classes.append(members)
-    unit = quotient(p, classes)
+    unit = quotient(p, _classes_by_pairs(p))
     return Reflection(unit.dst, unit)
 
 

@@ -262,7 +262,7 @@ def _class_label(carrier: FinSet, members: Iterable[int]) -> str:
     labels = carrier.labels
     if labels is None:
         return "{" + ",".join(map(str, members)) + "}"
-    return "{" + ",".join(labels[a] for a in members) + "}"
+    return "{" + ",".join(map(labels.__getitem__, members)) + "}"
 
 
 @dataclass(frozen=True)

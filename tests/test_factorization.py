@@ -27,6 +27,7 @@ from preord.factorization import (
 from preord import factorization, relations
 from preord.alexandroff import preorder_to_space, space_to_preorder, t0_reflection
 from preord.oracle import (
+    cover_by_pairs,
     effective_descent_by_chains,
     enumerate_morphisms,
     enumerate_preorders,
@@ -127,6 +128,13 @@ def fibre_poset_counterexample_at_greatest_member(f):
     a, _ = ce
     over = sym_core(f.src).rows[a] & f.map.preimage_masks()[f(a)]
     return (over.bit_length() - 1, a)
+
+
+def cover_fields(b):
+    """The labels, rows and values of ``b``'s cover, as ``cover_by_pairs``
+    spells them."""
+    total, projection = effective_descent_cover(b)
+    return total.carrier.labels, total.rel.rows, projection.map.values
 
 
 class TestFullyFaithful:
@@ -626,6 +634,26 @@ class TestEffectiveDescentCover:
         assert total.size == 3 * b.size
         assert total.is_partial_order()
         assert is_effective_descent(projection)
+        assert cover_fields(b) == cover_by_pairs(b)
+
+    def test_covers_match_pairs_on_small_preorders(self):
+        # every preorder on at most four points, unlabelled and labelled
+        count = 0
+        for n in range(5):
+            for p in enumerate_preorders(n):
+                carrier = FinSet(n, sts.ADVERSARIAL_LABELS[:n])
+                for b in (p, FinPreorder(carrier, Relation(carrier, carrier, p.rel.rows))):
+                    assert cover_fields(b) == cover_by_pairs(b), b
+                    count += 1
+        assert count == 2 * (1 + 1 + 4 + 29 + 355)
+
+    def test_covers_match_pairs_on_seeded_preorders(self):
+        # multi-member classes, and rows far wider than a machine word
+        rng = random.Random(5)
+        bases = [random_preorder(rng, size) for size in (30, 60, 100, 150, 200)]
+        assert all(reflect(b).poset.size < b.size for b in bases)
+        for b in bases:
+            assert cover_fields(b) == cover_by_pairs(b)
 
 
 class TestFibrePosetLemma:
